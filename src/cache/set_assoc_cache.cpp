@@ -331,11 +331,9 @@ WayCount SetAssocCache::ways_owned(CoreId core) const {
 
 std::vector<Line> SetAssocCache::resident_lines() const {
   std::vector<Line> lines;
-  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
-    for (WayIndex way = 0; way < config_.ways; ++way) {
-      if (((meta_[set].valid >> way) & 1) != 0) lines.push_back(line_at(set, way));
-    }
-  }
+  for_each_valid([&](std::uint32_t set, WayIndex way, BlockAddress) {
+    lines.push_back(line_at(set, way));
+  });
   return lines;
 }
 

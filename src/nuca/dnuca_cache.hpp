@@ -162,9 +162,10 @@ class DnucaCache {
   const cache::SetAssocCache& bank(BankId id) const { return banks_.at(id); }
   const std::vector<BankId>& view_of(CoreId core) const { return views_.at(core); }
 
-  /// Serializes all banks, the partition views, the fill cursors, the
-  /// residency index (entries in key order, so identical state is identical
-  /// bytes) and statistics. Restore asserts the geometry echo matches.
+  /// Serializes all banks, the partition views, the fill cursors and
+  /// statistics. The residency index is not written: restore asserts the
+  /// geometry echo matches and rebuilds the index from the banks' valid
+  /// lines (bank, set, way -> block).
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -226,6 +227,7 @@ class DnucaCache {
   // NOLINTNEXTLINE(bacp-snapshot-fields): derived index over views_; rebuilt by rebuild_view_positions() on restore
   std::vector<std::uint32_t> view_pos_;         // core x bank -> index in view
   std::vector<std::size_t> round_robin_;        // per core: Parallel fill cursor
+  // NOLINTNEXTLINE(bacp-snapshot-fields): derived from bank tags; rebuilt by restore_state
   common::FlatHash64<Location> residency_;      // block -> unique holding bank+way
   DnucaStats stats_;
   // access_batch scratch (sized at construction; the batch path allocates

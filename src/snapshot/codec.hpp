@@ -43,6 +43,14 @@ class Writer {
     raw(values.data(), values.size() * sizeof(T));
   }
 
+  /// Unprefixed scalar run: the caller records the shape elsewhere (e.g. a
+  /// total written up front for many runs) and restore reads the same runs
+  /// back through Reader::elements_into.
+  template <CodecScalar T>
+  void elements(std::span<const T> values) {
+    raw(values.data(), values.size() * sizeof(T));
+  }
+
   /// Length-prefixed UTF-8 string.
   void str(std::string_view value) {
     u64(value.size());
@@ -85,6 +93,12 @@ class Reader {
   void scalars_into(std::span<T> values) {
     const std::uint64_t count = u64();
     BACP_ASSERT(count == values.size(), "snapshot array length mismatch");
+    raw(values.data(), values.size() * sizeof(T));
+  }
+
+  /// Reads an unprefixed run written by Writer::elements into `values`.
+  template <CodecScalar T>
+  void elements_into(std::span<T> values) {
     raw(values.data(), values.size() * sizeof(T));
   }
 

@@ -36,21 +36,25 @@ const char* to_string(SectionId id);
 ///   ...  payload  sections, contiguous, in table order
 inline constexpr std::uint64_t kMagic = 0x50414E5350434142ull;  // "BACPSNAP"
 // v2: section checksums switched from byte-serial FNV-1a to the
-// word-at-a-time variant below. Banked v1 snapshots fail the version check
-// and rewarm — the bank is a cache, so a version bump costs time, never
-// correctness.
-inline constexpr std::uint32_t kVersion = 2;
+// word-at-a-time variant below.
+// v3: trace generators write only their live recency windows, and the L2
+// no longer writes its residency index (restore derives it from the banks'
+// valid tags), which shrinks a default-shape snapshot about 4x.
+// Banked snapshots of an older version fail the version check and rewarm —
+// the bank is a cache, so a version bump costs time, never correctness.
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 24;
 inline constexpr std::size_t kTableEntryBytes = 32;
 inline constexpr std::size_t kMaxSections = 16;
 
 /// Per-section integrity checksum: FNV-1a folding 8 bytes per multiply
-/// (host-order words, byte-serial tail). The byte-serial chain caps at one
-/// multiply per byte — under 1 GB/s on the reference host — and every
-/// snapshot is checksummed on save, on bank load *and* on restore, so the
-/// checksum was the dominant cost of a pooled sampled trial. The word
-/// variant keeps the same mixing structure at 8x fewer multiplies; it is
-/// format-internal (not FNV-compatible), which kVersion == 2 records.
+/// (host-order words, byte-serial tail). A snapshot is checksummed once on
+/// save (SnapshotBuilder::finish), once on bank load (audit_snapshot) and
+/// once more on restore (the SnapshotView constructor), so checksum cost
+/// scales with snapshot bytes on every sampled trial. The word variant
+/// keeps FNV-1a's mixing structure at 8x fewer multiplies than the
+/// byte-serial chain; it is format-internal (not FNV-compatible), which
+/// kVersion >= 2 records.
 std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
 
 /// A whole simulated system's warm state as one flat buffer. Value type:

@@ -58,7 +58,8 @@ void SyntheticTraceGenerator::reset_in_place(const WorkloadModel& model,
   rng_ = common::Rng(seed, config_.core);
   depth_sampler_ =
       common::DiscreteSampler(model.stack_distance_weights(config_.max_depth));
-  std::fill(recency_entries_.begin(), recency_entries_.end(), 0);
+  // Zero sizes make every ring slot dead; produce() never reads a dead
+  // slot and snapshots never write one, so the entries keep their bytes.
   std::fill(recency_heads_.begin(), recency_heads_.end(), 0);
   std::fill(recency_sizes_.begin(), recency_sizes_.end(), 0);
   next_block_id_ = 0;
@@ -134,8 +135,8 @@ void SyntheticTraceGenerator::undo(const UndoRecord& record) {
       recency_entries_.data() + std::size_t{record.set} * ring_capacity_;
   std::uint32_t& head = recency_heads_[record.set];
   if (record.depth == kUndoFresh) {
-    // Inverse of a fresh insert: restore the slot's prior bytes (dead-slot
-    // bytes included, keeping snapshots of rewound state byte-identical),
+    // Inverse of a fresh insert: restore the slot's prior bytes (on a full
+    // ring that slot was the LRU tail, still live before the insert),
     // re-advance the head and restore the live count.
     ring[head] = record.overwritten;
     head = (head + 1) & ring_mask_;
@@ -179,9 +180,22 @@ void SyntheticTraceGenerator::save_state(snapshot::Writer& writer) const {
   // outlives every generator; the name is the stable identity.
   writer.str(model_->name);
   for (const std::uint64_t word : rng_.state()) writer.u64(word);
-  writer.scalars(std::span<const BlockAddress>(recency_entries_));
   writer.scalars(std::span<const std::uint32_t>(recency_heads_));
   writer.scalars(std::span<const std::uint32_t>(recency_sizes_));
+  // Only the live windows travel, each MRU first: produce() never reads a
+  // dead slot, so dead-slot bytes are not state. A window wraps the ring
+  // at most once, so it is at most two contiguous runs.
+  std::uint64_t live = 0;
+  for (const std::uint32_t size : recency_sizes_) live += size;
+  writer.u64(live);
+  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
+    const BlockAddress* ring = recency_entries_.data() + std::size_t{set} * ring_capacity_;
+    const std::uint32_t head = recency_heads_[set];
+    const std::uint32_t size = recency_sizes_[set];
+    const std::uint32_t first = std::min(size, ring_capacity_ - head);
+    writer.elements(std::span<const BlockAddress>(ring + head, first));
+    writer.elements(std::span<const BlockAddress>(ring, size - first));
+  }
   writer.u64(next_block_id_);
 }
 
@@ -195,9 +209,26 @@ void SyntheticTraceGenerator::restore_state(snapshot::Reader& reader) {
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = reader.u64();
   rng_.set_state(rng_state);
-  reader.scalars_into(std::span<BlockAddress>(recency_entries_));
   reader.scalars_into(std::span<std::uint32_t>(recency_heads_));
   reader.scalars_into(std::span<std::uint32_t>(recency_sizes_));
+  std::uint64_t live = 0;
+  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
+    BACP_ASSERT(recency_heads_[set] < ring_capacity_, "snapshot ring head out of range");
+    BACP_ASSERT(recency_sizes_[set] <= config_.max_depth,
+                "snapshot ring size exceeds max_depth");
+    live += recency_sizes_[set];
+  }
+  BACP_ASSERT(reader.u64() == live, "snapshot live ring entry count mismatch");
+  // Scatter each window back to its ring slots; dead slots keep whatever
+  // bytes they hold, which produce() never reads.
+  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
+    BlockAddress* ring = recency_entries_.data() + std::size_t{set} * ring_capacity_;
+    const std::uint32_t head = recency_heads_[set];
+    const std::uint32_t size = recency_sizes_[set];
+    const std::uint32_t first = std::min(size, ring_capacity_ - head);
+    reader.elements_into(std::span<BlockAddress>(ring + head, first));
+    reader.elements_into(std::span<BlockAddress>(ring, size - first));
+  }
   next_block_id_ = reader.u64();
 }
 

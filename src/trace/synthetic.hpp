@@ -78,9 +78,9 @@ class SyntheticTraceGenerator {
   /// Rewinds the generator to the state a fresh
   /// `SyntheticTraceGenerator(model, config(), seed)` would have — new
   /// model and RNG stream, empty recency rings, block counter at zero —
-  /// without freeing or reallocating the ring storage. Illegal while a
-  /// batch is outstanding. Snapshot bytes after reset match a fresh
-  /// generator's.
+  /// without freeing, reallocating or clearing the ring storage (emptied
+  /// rings have no live slots). Illegal while a batch is outstanding.
+  /// Snapshot bytes after reset match a fresh generator's.
   void reset_in_place(const WorkloadModel& model, std::uint64_t seed);
 
   const WorkloadModel& model() const { return *model_; }
@@ -89,9 +89,13 @@ class SyntheticTraceGenerator {
   /// Number of distinct blocks ever touched (footprint so far).
   std::uint64_t blocks_allocated() const { return next_block_id_; }
 
-  /// Serializes the model name, RNG state, recency rings and block counter.
-  /// Restore asserts the geometry echo and re-resolves the model by name
-  /// from the SPEC2000 registry (the sampler is rebuilt deterministically).
+  /// Serializes the model name, RNG state, the per-set ring heads and
+  /// sizes, each set's live recency window (MRU first, preceded by the
+  /// total live count) and the block counter. Dead ring slots are never
+  /// written. Restore asserts the geometry echo, every head and size and the
+  /// live count, scatters the windows back to their ring slots, and
+  /// re-resolves the model by name from the SPEC2000 registry (the sampler
+  /// is rebuilt deterministically).
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -101,9 +105,9 @@ class SyntheticTraceGenerator {
 
   /// Undo record for one batched access, applied in reverse order by
   /// truncate_batch. A fresh insert (depth == kUndoFresh) restores the
-  /// head slot's prior bytes — including dead-slot bytes, so snapshots of
-  /// a rewound generator stay byte-identical — while a re-touch at depth d
-  /// runs the inverse rotation.
+  /// head slot's prior bytes — on a full ring (size == ring capacity) that
+  /// slot held the live LRU tail the insert overwrote — while a re-touch at
+  /// depth d runs the inverse rotation.
   struct UndoRecord {
     std::uint32_t set = 0;
     std::uint32_t depth = 0;
@@ -127,6 +131,7 @@ class SyntheticTraceGenerator {
   // s * ring_capacity_; logical depth d lives at (head + d) & ring_mask_).
   // A cold insert is head-decrement + one store instead of shifting the
   // whole list; a depth-d re-touch shifts only the d entries above it.
+  // NOLINTNEXTLINE(bacp-reset-fields): only live windows are state; reset zeroes every size, so no slot stays live
   std::vector<BlockAddress> recency_entries_;
   std::vector<std::uint32_t> recency_heads_;
   std::vector<std::uint32_t> recency_sizes_;

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "audit/snapshot_audit.hpp"
 #include "audit/system_audit.hpp"
 #include "common/thread_pool.hpp"
@@ -17,6 +23,8 @@
 #include "sim/system_config.hpp"
 #include "snapshot/codec.hpp"
 #include "trace/mix.hpp"
+#include "trace/spec2000.hpp"
+#include "trace/synthetic.hpp"
 
 namespace bacp {
 namespace {
@@ -151,6 +159,233 @@ TEST(SystemSnapshot, AdoptWarmStateRunsAllPolicies) {
     EXPECT_TRUE(structural.ok()) << structural.to_string();
     variant.run(600'000);
     EXPECT_GT(variant.results().l2_misses(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sparse recency-ring encoding
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint8_t> save_generator(const trace::SyntheticTraceGenerator& generator) {
+  std::vector<std::uint8_t> bytes;
+  snapshot::Writer writer(bytes);
+  generator.save_state(writer);
+  return bytes;
+}
+
+void restore_generator(trace::SyntheticTraceGenerator& generator,
+                       const std::vector<std::uint8_t>& bytes) {
+  snapshot::Reader reader(bytes);
+  generator.restore_state(reader);
+  EXPECT_TRUE(reader.exhausted());
+}
+
+/// The per-set ring heads and sizes as a saved generator section records
+/// them (read back through the public codec, not the generator's internals).
+struct RingShape {
+  std::vector<std::uint32_t> heads;
+  std::vector<std::uint32_t> sizes;
+  std::size_t sizes_offset = 0;  ///< byte offset of sizes[0] in the section
+  std::size_t live_offset = 0;   ///< byte offset of the total live count
+};
+
+RingShape ring_shape(std::span<const std::uint8_t> section) {
+  snapshot::Reader reader(section);
+  (void)reader.u32();  // num_sets
+  (void)reader.u32();  // max_depth
+  (void)reader.u32();  // core
+  (void)reader.str();  // model name
+  for (int word = 0; word < 4; ++word) (void)reader.u64();  // RNG state
+  RingShape shape;
+  shape.heads = reader.scalars<std::uint32_t>();
+  shape.sizes_offset = section.size() - reader.remaining() + sizeof(std::uint64_t);
+  shape.sizes = reader.scalars<std::uint32_t>();
+  shape.live_offset = section.size() - reader.remaining();
+  return shape;
+}
+
+struct RingCase {
+  std::uint32_t num_sets;
+  WayCount max_depth;
+  std::uint32_t accesses;
+};
+
+// Each case pins one corner of the window encoding: tiny rings driven long
+// enough that every window is full (max_depth 8 fills the whole 8-slot
+// ring, so a fresh insert overwrites the live LRU tail), full windows in a
+// larger ring (max_depth 6 in 8 slots, leaving dead slots inside a wrapped
+// window's stride), and a wide, barely touched generator whose sets are
+// mostly empty.
+TEST(GeneratorSnapshot, SparseWindowsRoundTripWrappedFullAndEmptySets) {
+  const auto& model = trace::spec2000_by_name("mcf");
+  for (const RingCase ring : {RingCase{4, 8, 2'000}, RingCase{4, 6, 2'000},
+                              RingCase{64, 8, 20}}) {
+    SCOPED_TRACE("num_sets " + std::to_string(ring.num_sets) + " max_depth " +
+                 std::to_string(ring.max_depth));
+    const trace::GeneratorConfig config{ring.num_sets, ring.max_depth, 3};
+    trace::SyntheticTraceGenerator original(model, config, /*seed=*/11);
+    for (std::uint32_t i = 0; i < ring.accesses; ++i) (void)original.next();
+    const auto saved = save_generator(original);
+
+    const RingShape shape = ring_shape(saved);
+    const std::uint32_t capacity = std::bit_ceil(std::uint32_t{ring.max_depth});
+    bool wrapped = false;
+    bool full = false;
+    bool empty = false;
+    for (std::uint32_t set = 0; set < ring.num_sets; ++set) {
+      wrapped |= shape.heads[set] + shape.sizes[set] > capacity;
+      full |= shape.sizes[set] == ring.max_depth;
+      empty |= shape.sizes[set] == 0;
+    }
+    if (ring.accesses < ring.num_sets) {
+      EXPECT_TRUE(empty);
+    } else {
+      EXPECT_TRUE(wrapped);
+      EXPECT_TRUE(full);
+    }
+
+    // A differently seeded twin proves the RNG state travels too.
+    trace::SyntheticTraceGenerator restored(model, config, /*seed=*/99);
+    restore_generator(restored, saved);
+    EXPECT_EQ(save_generator(restored), saved);
+
+    // A batch rewound on the restored twin lands where scalar calls do: on
+    // a full 8-slot ring the rewind must restore the overwritten LRU tail.
+    trace::AccessBatch batch;
+    restored.next_batch(batch, 64);
+    restored.truncate_batch(10);
+    for (int i = 0; i < 10; ++i) (void)original.next();
+    EXPECT_EQ(save_generator(restored), save_generator(original));
+
+    for (int i = 0; i < 500; ++i) {
+      const auto expected = original.next();
+      const auto actual = restored.next();
+      ASSERT_EQ(actual.block, expected.block) << "access " << i;
+      ASSERT_EQ(actual.is_write, expected.is_write) << "access " << i;
+    }
+    EXPECT_EQ(save_generator(restored), save_generator(original));
+  }
+}
+
+// Restore scatters only the live windows, so every slot outside them keeps
+// whatever the target System held before. A System warmed further than the
+// snapshot holds its own, longer recency windows there; restoring into it
+// must be indistinguishable from restoring into a freshly built System.
+TEST(GeneratorSnapshot, StaleDeadSlotsDoNotLeakThroughRestore) {
+  const auto config = fast_config(sim::PolicyKind::BankAware);
+  const auto mix = capacity_diverse_mix();
+  sim::System original(config, mix);
+  original.warm_up(200'000);
+  const auto snapshot = original.save_state();
+
+  sim::System stale(config, mix);
+  stale.warm_up(700'000);
+  stale.restore_state(snapshot);
+  sim::System fresh(config, mix);
+  fresh.restore_state(snapshot);
+  EXPECT_EQ(stale.save_state().bytes, snapshot.bytes);
+  EXPECT_EQ(fresh.save_state().bytes, snapshot.bytes);
+
+  stale.run(500'000);
+  fresh.run(500'000);
+  EXPECT_EQ(stale.results().to_json().dump(), fresh.results().to_json().dump());
+  stale.reset_measurement();
+  fresh.reset_measurement();
+  EXPECT_EQ(stale.save_state().bytes, fresh.save_state().bytes);
+}
+
+/// Rewrites one section of `snapshot` in place and re-seals its table
+/// checksum, so only restore_state's own shape checks stand between the
+/// edit and the restored state.
+void edit_section(snapshot::SystemSnapshot& snapshot, snapshot::SectionId id,
+                  const std::function<void(std::span<std::uint8_t>)>& edit) {
+  std::uint8_t* base = snapshot.bytes.data();
+  std::uint32_t count = 0;
+  std::memcpy(&count, base + 12, sizeof(count));
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint8_t* entry = base + snapshot::kHeaderBytes + i * snapshot::kTableEntryBytes;
+    std::uint32_t entry_id = 0;
+    std::memcpy(&entry_id, entry, sizeof(entry_id));
+    if (entry_id != static_cast<std::uint32_t>(id)) continue;
+    std::uint64_t offset = 0;
+    std::uint64_t length = 0;
+    std::memcpy(&offset, entry + 8, sizeof(offset));
+    std::memcpy(&length, entry + 16, sizeof(length));
+    const std::span<std::uint8_t> payload(base + offset, length);
+    edit(payload);
+    const std::uint64_t checksum = snapshot::fnv1a(payload);
+    std::memcpy(entry + 24, &checksum, sizeof(checksum));
+    return;
+  }
+  FAIL() << "no section " << snapshot::to_string(id);
+}
+
+TEST(GeneratorSnapshotDeathTest, RestoreRejectsImpossibleRingShapes) {
+  const auto config = fast_config(sim::PolicyKind::BankAware);
+  const auto mix = capacity_diverse_mix();
+  sim::System original(config, mix);
+  original.warm_up(100'000);
+  const auto snapshot = original.save_state();
+
+  auto oversized = snapshot;
+  edit_section(oversized, snapshot::SectionId::Generators, [&](std::span<std::uint8_t> core0) {
+    const RingShape shape = ring_shape(core0);
+    const std::uint32_t size = config.geometry.total_ways() + 1;
+    std::memcpy(core0.data() + shape.sizes_offset, &size, sizeof(size));
+  });
+  sim::System target(config, mix);
+  EXPECT_TRUE(audit::audit_snapshot(oversized).ok());
+  EXPECT_DEATH(target.restore_state(oversized), "exceeds max_depth");
+
+  auto miscounted = snapshot;
+  edit_section(miscounted, snapshot::SectionId::Generators, [](std::span<std::uint8_t> core0) {
+    const RingShape shape = ring_shape(core0);
+    std::uint64_t live = 0;
+    std::memcpy(&live, core0.data() + shape.live_offset, sizeof(live));
+    ++live;
+    std::memcpy(core0.data() + shape.live_offset, &live, sizeof(live));
+  });
+  EXPECT_TRUE(audit::audit_snapshot(miscounted).ok());
+  EXPECT_DEATH(target.restore_state(miscounted), "live ring entry count");
+}
+
+// ---------------------------------------------------------------------------
+// Derived L2 residency
+// ---------------------------------------------------------------------------
+
+// The residency index is never serialized: restore derives it from the
+// banks' valid tags. It must pass the structural NUCA audit in every build
+// (not only at BACP_AUDIT checkpoints) and place each resident block at the
+// bank and way it occupied on the saving System.
+TEST(SystemSnapshot, RestoreDerivesResidencyFromBankTags) {
+  const auto mix = capacity_diverse_mix();
+  for (const auto policy : {sim::PolicyKind::NoPartition, sim::PolicyKind::EqualPartition,
+                            sim::PolicyKind::BankAware}) {
+    SCOPED_TRACE(sim::to_string(policy));
+    const auto config = fast_config(policy);
+    sim::System original(config, mix);
+    original.warm_up(600'000);
+    sim::System restored(config, mix);
+    restored.restore_state(original.save_state());
+
+    const auto report = audit::audit_nuca(restored.l2());
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_GT(report.checks, 0u);
+
+    std::uint64_t resident = 0;
+    std::uint64_t misplaced = 0;
+    for (BankId bank = 0; bank < config.geometry.num_banks; ++bank) {
+      original.l2().bank(bank).for_each_valid(
+          [&](std::uint32_t, WayIndex way, BlockAddress block) {
+            ++resident;
+            if (restored.l2().bank_of(block) != bank ||
+                !restored.l2().bank(bank).holds_at(block, way)) {
+              ++misplaced;
+            }
+          });
+    }
+    EXPECT_GT(resident, 0u);
+    EXPECT_EQ(misplaced, 0u);
   }
 }
 
@@ -374,6 +609,66 @@ TEST(SnapshotCache, TruncatedBankEntryFailsClosedUnderMmap) {
   EXPECT_EQ(cache.file_hits(), 0u);
   EXPECT_TRUE(audit::audit_snapshot(*snapshot).ok());
   std::filesystem::remove_all(dir);
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// A format bump must cost time, never correctness: a bank entry written by
+// an older format version is rejected at load, the key rewarms, the file is
+// republished in the current format, and the run matches a cold bank's.
+TEST(SnapshotCache, StaleVersionBankEntryRewarmsAndRepublishes) {
+  const std::string cold_dir = testing::TempDir() + "/bacp-snapbank-cold";
+  const std::string stale_dir = testing::TempDir() + "/bacp-snapbank-stale";
+  for (const auto& dir : {cold_dir, stale_dir}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+  }
+  const auto config = fast_config(sim::PolicyKind::BankAware);
+  const auto mix = capacity_diverse_mix();
+  constexpr std::uint64_t kWarmup = 300'000;
+
+  harness::SnapshotCache cold_cache;
+  cold_cache.set_file_bank(cold_dir);
+  sim::System cold(config, mix);
+  harness::warm_system(cold, mix, kWarmup, &cold_cache, /*shared_warmup=*/false);
+  cold.run(400'000);
+  std::string cold_path;
+  for (const auto& entry : std::filesystem::directory_iterator(cold_dir)) {
+    cold_path = entry.path().string();
+  }
+  ASSERT_FALSE(cold_path.empty());
+  const auto published = read_file(cold_path);
+
+  // The same key in the stale bank holds a version-2 file.
+  const std::string stale_path =
+      stale_dir + "/" + std::filesystem::path(cold_path).filename().string();
+  auto stale_bytes = published;
+  const std::uint32_t old_version = 2;
+  ASSERT_LT(old_version, snapshot::kVersion);
+  std::memcpy(stale_bytes.data() + 8, &old_version, sizeof(old_version));
+  {
+    std::ofstream out(stale_path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(stale_bytes.data()),
+              static_cast<std::streamsize>(stale_bytes.size()));
+  }
+  snapshot::SystemSnapshot stale_snapshot;
+  stale_snapshot.bytes = stale_bytes;
+  EXPECT_FALSE(audit::audit_snapshot(stale_snapshot).ok());
+
+  harness::SnapshotCache stale_cache;
+  stale_cache.set_file_bank(stale_dir);
+  sim::System rewarmed(config, mix);
+  harness::warm_system(rewarmed, mix, kWarmup, &stale_cache, /*shared_warmup=*/false);
+  EXPECT_EQ(stale_cache.file_hits(), 0u);
+  EXPECT_EQ(stale_cache.misses(), 1u);
+  rewarmed.run(400'000);
+  EXPECT_EQ(rewarmed.results().to_json().dump(), cold.results().to_json().dump());
+  EXPECT_EQ(read_file(stale_path), published);
+
+  for (const auto& dir : {cold_dir, stale_dir}) std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotCache, VariantSweepForksOneWarmupInSharedMode) {
