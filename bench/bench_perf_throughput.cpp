@@ -53,7 +53,7 @@ std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxe
 /// PR-5 scalar loop's (block from the rng, core = i % num_cores, every 8th
 /// access a write, now += 3) pushed through DnucaCache::access_batch, which
 /// replays scalar access() in order — so the checksum matches the scalar
-/// drive for every batch size and SIMD tier. Column buffers are members,
+/// drive for every batch size. Column buffers are members,
 /// keeping the timed loop allocation-free.
 struct L2BatchDriver {
   static constexpr std::uint32_t kMax = bacp::nuca::DnucaCache::kMaxBatch;

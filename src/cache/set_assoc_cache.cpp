@@ -140,17 +140,10 @@ std::optional<LookupResult> SetAssocCache::find(BlockAddress block) const {
   const std::uint64_t valid = meta_[set].valid;
   if (valid == 0) return std::nullopt;
   const BlockAddress* tags = tags_.data() + line_index(set, 0);
-  // Vectorized first-match scan over the contiguous tag column. A matching
-  // tag in an *invalid* way (stale bytes left by invalidate) must not stop
-  // the search — resume past it, exactly as the scalar way loop would.
-  WayIndex way = 0;
-  while (way < config_.ways) {
-    const std::uint32_t found =
-        common::simd::find_first_equal_u64(tags + way, config_.ways - way, block);
-    if (found == common::simd::kLaneNotFound) break;
-    way = static_cast<WayIndex>(way + found);
-    if (((valid >> way) & 1) != 0) return LookupResult{true, way};
-    ++way;
+  // A matching tag in an *invalid* way (stale bytes left by invalidate)
+  // must not stop the search.
+  for (WayIndex way = 0; way < config_.ways; ++way) {
+    if (tags[way] == block && ((valid >> way) & 1) != 0) return LookupResult{true, way};
   }
   return std::nullopt;
 }

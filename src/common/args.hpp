@@ -51,12 +51,10 @@ class ArgParser {
   /// Usage text built from the spec.
   std::string help(const std::string& program) const;
 
+ private:
   /// Prints "error: <message>" plus the usage text and exits with status 2.
-  /// Public so composed knob readers (harness::read_toggle) report malformed
-  /// values through the same fatal-usage path as the typed accessors.
   [[noreturn]] void fatal_usage(const std::string& message) const;
 
- private:
   struct Flag {
     std::string help_text;
     bool takes_value = false;

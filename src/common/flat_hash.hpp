@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -60,9 +59,8 @@ class FlatHash64 {
   void prefetch(Key key) const { simd::prefetch_read(&slots_[ideal_slot(key)]); }
 
   /// Batched lookup: out[i] = find(keys[i]) for each of the `count` keys.
-  /// Same probe sequence and results as scalar find(); when the slot layout
-  /// is SIMD-eligible (16-byte slots), the probe runs four slots per step.
-  /// Pointers obey the same invalidation rule as find().
+  /// Same probe sequence and results as find(); pointers obey the same
+  /// invalidation rule.
   void find_batch(const Key* keys, std::uint32_t count, Value** out) {
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::size_t slot = find_slot(keys[i]);
@@ -144,15 +142,6 @@ class FlatHash64 {
   static constexpr std::size_t kMaxLoadNum = 7;
   static constexpr std::size_t kMaxLoadDen = 8;
 
-  // The SIMD group probe reads raw slot bytes under the probe_group16
-  // layout contract (16-byte slots, key at 0, occupancy byte at 12); any
-  // Value that packs differently transparently keeps the scalar probe.
-  static constexpr bool kGroupProbeEligible =
-      std::is_standard_layout_v<Slot> && std::is_trivially_copyable_v<Value> &&
-      sizeof(Slot) == simd::detail::kGroupSlotBytes &&
-      offsetof(Slot, key) == 0 &&
-      offsetof(Slot, occupied) == simd::detail::kGroupOccupiedOffset;
-
   std::size_t ideal_slot(Key key) const {
     // Fibonacci multiplicative hash; the high bits select the slot.
     return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
@@ -161,20 +150,9 @@ class FlatHash64 {
   /// One probe walk that serves every operation: returns key's slot with
   /// matched == true, or — key absent — the empty slot that ended the run
   /// (exactly where insert_position() would land the key) with matched ==
-  /// false. In the SIMD tiers one dispatched call probes the entire run
-  /// four slots per step — tier check and call overhead paid once per
-  /// lookup, not per group (a 7/8-load table keeps runs short, so per-group
-  /// dispatch used to cost more than the vector compare saved).
+  /// false.
   std::pair<std::size_t, bool> probe_run(Key key) const {
     std::size_t slot = ideal_slot(key);
-    if constexpr (kGroupProbeEligible) {
-      if (simd::active_tier() == simd::Tier::Avx2) {
-        const std::uint64_t run = simd::detail::probe_run16_avx2(
-            reinterpret_cast<const unsigned char*>(slots_.data()), mask_, slot, key);
-        return {static_cast<std::size_t>(run >> 1),
-                (run & simd::detail::kRunMatch) != 0};
-      }
-    }
     while (slots_[slot].occupied) {
       if (slots_[slot].key == key) return {slot, true};
       slot = (slot + 1) & mask_;

@@ -36,8 +36,7 @@ class MappedFile {
 
   /// Maps `path` read-only. Returns an invalid (empty) MappedFile on any
   /// failure — missing file, empty file, fstat/mmap error — never a partial
-  /// map: callers branch on valid() and fall back to buffered reads or a
-  /// cache miss.
+  /// map: callers branch on valid().
   static MappedFile open(const std::string& path);
 
   bool valid() const { return data_ != nullptr; }

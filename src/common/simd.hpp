@@ -5,111 +5,28 @@
 
 namespace bacp::common::simd {
 
-/// Vector instruction tier the process resolved at startup. One binary
-/// serves every host: the AVX2 kernels are compiled with a function-level
-/// target attribute and only ever called after a runtime CPUID check, and
-/// NEON is selected at compile time on AArch64 (where it is baseline).
+/// Vector instruction tier of the analytic kernels (mu_scan, miss_counts).
+/// One binary serves every host: the AVX2 kernels are compiled with a
+/// function-level target attribute and only ever called after a runtime
+/// CPUID check.
 enum class Tier : std::uint8_t {
   Scalar = 0,
   Avx2 = 1,
-  Neon = 2,
 };
 
 const char* to_string(Tier tier);
 
-/// The active tier: compile-time availability ∩ runtime CPU support ∩ the
-/// BACP_SIMD escape hatch. BACP_SIMD accepts "off"/"scalar" (force scalar),
-/// "avx2"/"neon" (force a tier, fatal if the host cannot run it) and
-/// "auto"/unset (best available). Resolved once per process; the batched
-/// pipeline is bit-identical across tiers, so this is purely a speed dial.
+/// The active tier: AVX2 if the CPU reports it, else scalar. Resolved once
+/// per process; the kernels are bit-identical across tiers.
 Tier active_tier();
 
-/// Sentinel for "no matching lane".
-inline constexpr std::uint32_t kLaneNotFound = 0xFFFFFFFFu;
-
-/// probe_group16 result flag: the first match-or-empty event is a key match
-/// (otherwise it is an empty slot, which terminates a linear-probe run).
-inline constexpr std::uint32_t kGroupMatchBit = 0x100u;
-
 namespace detail {
-
-/// Layout contract for probe_group16: four consecutive 16-byte hash slots,
-/// u64 key at offset 0, one-byte occupancy flag (0 = empty) at offset 12.
-inline constexpr std::size_t kGroupSlotBytes = 16;
-inline constexpr std::size_t kGroupSlots = 4;
-inline constexpr std::size_t kGroupOccupiedOffset = 12;
-
-inline std::uint32_t probe_group16_scalar(const unsigned char* bytes,
-                                          std::uint64_t needle) {
-  for (std::uint32_t lane = 0; lane < kGroupSlots; ++lane) {
-    const unsigned char* slot = bytes + lane * kGroupSlotBytes;
-    if (slot[kGroupOccupiedOffset] == 0) return lane;
-    std::uint64_t key;
-    __builtin_memcpy(&key, slot, sizeof(key));
-    if (key == needle) return lane | kGroupMatchBit;
-  }
-  return kLaneNotFound;
-}
-
-std::uint32_t probe_group16_avx2(const unsigned char* bytes, std::uint64_t needle);
-
-/// probe_run16 result flag (bit 0): the run ended on a key match. Clear
-/// means the run ended at an empty slot — which in a linear-probe table is
-/// exactly where an insert of the absent key would land, so one walk serves
-/// lookup, insert and upsert alike.
-inline constexpr std::uint64_t kRunMatch = 1;
-
-/// Whole-run linear probe over 16-byte hash slots (layout contract above):
-/// starting at `slot` in a power-of-two table of `mask + 1` slots, walks the
-/// probe sequence until the key matches or an empty slot ends the run, and
-/// returns (ending_slot << 1) | match_flag. One out-of-line call per
-/// *lookup* — the tier dispatch and call overhead amortize over the whole
-/// run instead of repeating per four-slot group, which is what makes the
-/// AVX2 probe pay off at the short run lengths a 7/8-load table produces.
-inline std::uint64_t probe_run16_scalar(const unsigned char* base, std::uint64_t mask,
-                                        std::uint64_t slot, std::uint64_t needle) {
-  for (;;) {
-    const unsigned char* bytes = base + slot * kGroupSlotBytes;
-    if (bytes[kGroupOccupiedOffset] == 0) return slot << 1;
-    std::uint64_t key;
-    __builtin_memcpy(&key, bytes, sizeof(key));
-    if (key == needle) return (slot << 1) | kRunMatch;
-    slot = (slot + 1) & mask;
-  }
-}
-
-std::uint64_t probe_run16_avx2(const unsigned char* base, std::uint64_t mask,
-                               std::uint64_t slot, std::uint64_t needle);
-
-inline std::uint32_t find_first_equal_u64_scalar(const std::uint64_t* values,
-                                                 std::uint32_t count,
-                                                 std::uint64_t needle) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (values[i] == needle) return i;
-  }
-  return kLaneNotFound;
-}
-
-std::uint32_t find_first_equal_u64_avx2(const std::uint64_t* values, std::uint32_t count,
-                                        std::uint64_t needle);
-std::uint32_t find_first_equal_u64_neon(const std::uint64_t* values, std::uint32_t count,
-                                        std::uint64_t needle);
-
-void mix_to_partial_tags_avx2(const std::uint64_t* tag_bits, std::uint64_t* out,
-                              std::size_t count, std::uint32_t width_bits);
-void mix_to_partial_tags_neon(const std::uint64_t* tag_bits, std::uint64_t* out,
-                              std::size_t count, std::uint32_t width_bits);
-
-std::size_t collect_masked_zero_avx2(const std::uint64_t* values, std::size_t count,
-                                     std::uint64_t mask, std::uint32_t* out_indices);
-std::size_t collect_masked_zero_neon(const std::uint64_t* values, std::size_t count,
-                                     std::uint64_t mask, std::uint32_t* out_indices);
 
 /// Scalar reference for mu_scan. The float op sequence per lane —
 /// B = total - prefix[clamped], removed = A - B, removed / n — must match
 /// partition::marginal_utility over msa::MissRatioCurve::miss_count exactly;
-/// every vector tier replays the identical per-lane IEEE ops (sub, sub,
-/// div are correctly rounded and width-independent), so results are
+/// the AVX2 kernel replays the identical per-lane IEEE ops (sub, sub, div
+/// are correctly rounded and width-independent), so results are
 /// bit-identical across tiers.
 inline void mu_scan_scalar(const double* prefix_hits, std::size_t size, double total,
                            std::uint32_t current, std::uint32_t max_extra,
@@ -152,51 +69,6 @@ void miss_counts_avx2(const double* const* prefixes, const std::uint32_t* sizes,
 
 }  // namespace detail
 
-/// First index i < count with values[i] == needle, else kLaneNotFound.
-/// The equality scan under every tag-column probe (SetAssocCache sets,
-/// StackProfiler stacks): contiguous 64-bit entries, first match wins.
-inline std::uint32_t find_first_equal_u64(const std::uint64_t* values,
-                                          std::uint32_t count, std::uint64_t needle) {
-  switch (active_tier()) {
-    case Tier::Avx2:
-      if (count >= 4) return detail::find_first_equal_u64_avx2(values, count, needle);
-      break;
-    case Tier::Neon:
-      if (count >= 4) return detail::find_first_equal_u64_neon(values, count, needle);
-      break;
-    case Tier::Scalar: break;
-  }
-  return detail::find_first_equal_u64_scalar(values, count, needle);
-}
-
-/// Probes four consecutive 16-byte hash slots (layout per
-/// detail::kGroupSlotBytes/kGroupOccupiedOffset) for `needle` in
-/// linear-probe order. Returns the lane (0-3) of the first match-or-empty
-/// event — kGroupMatchBit set when the event is an occupied slot whose key
-/// equals `needle` — or kLaneNotFound when all four slots are occupied by
-/// other keys (the probe run continues past the group).
-inline std::uint32_t probe_group16(const void* slots, std::uint64_t needle) {
-  const auto* bytes = static_cast<const unsigned char*>(slots);
-  if (active_tier() == Tier::Avx2) return detail::probe_group16_avx2(bytes, needle);
-  return detail::probe_group16_scalar(bytes, needle);
-}
-
-/// Batched Fibonacci partial-tag mix: out[i] = (tag_bits[i] * K) >> (64 -
-/// width_bits), the vector form of cache::partial_tag over a whole
-/// AccessBatch. width_bits must be in [1, 32]; results are the zero-extended
-/// 64-bit entries the profiler stacks store.
-void mix_to_partial_tags(const std::uint64_t* tag_bits, std::uint64_t* out,
-                         std::size_t count, std::uint32_t width_bits);
-
-/// Batched sampling-mask resolve: appends to out_indices every index i with
-/// (values[i] & mask) == 0 (ascending), returning how many matched. This is
-/// the profiler's pow2 "is this set sampled?" test hoisted across a batch:
-/// with num_sets and set_sampling both powers of two, sampled-set membership
-/// is one AND against (set_mask & sample_mask). out_indices must have room
-/// for count entries.
-std::size_t collect_masked_zero(const std::uint64_t* values, std::size_t count,
-                                std::uint64_t mask, std::uint32_t* out_indices);
-
 /// Marginal-utility lookahead scan over one miss-ratio curve (the inner
 /// kernel of the analytic allocation search): fills out[n-1] with
 /// MU(current, n) = (miss(current) - miss(current + n)) / n for n in
@@ -208,18 +80,11 @@ std::size_t collect_masked_zero(const std::uint64_t* values, std::size_t count,
 /// over the buffer stays with the caller, in index order.
 inline void mu_scan(const double* prefix_hits, std::size_t size, double total,
                     std::uint32_t current, std::uint32_t max_extra, double* out) {
-  if (max_extra == 0) return;
-  switch (active_tier()) {
-    case Tier::Avx2:
-      if (max_extra >= 4) {
-        detail::mu_scan_avx2(prefix_hits, size, total, current, max_extra, out);
-        return;
-      }
-      break;
-    case Tier::Neon: break;  // per-lane divides dominate; scalar is honest
-    case Tier::Scalar: break;
+  if (max_extra >= 4 && active_tier() == Tier::Avx2) {
+    detail::mu_scan_avx2(prefix_hits, size, total, current, max_extra, out);
+  } else {
+    detail::mu_scan_scalar(prefix_hits, size, total, current, max_extra, out);
   }
-  detail::mu_scan_scalar(prefix_hits, size, total, current, max_extra, out);
 }
 
 /// Batched clamped-prefix miss-count lookup (partition::projected_total_
@@ -230,17 +95,11 @@ inline void mu_scan(const double* prefix_hits, std::size_t size, double total,
 inline void miss_counts(const double* const* prefixes, const std::uint32_t* sizes,
                         const double* totals, const std::uint32_t* ways,
                         std::size_t count, double* out) {
-  switch (active_tier()) {
-    case Tier::Avx2:
-      if (count >= 4) {
-        detail::miss_counts_avx2(prefixes, sizes, totals, ways, count, out);
-        return;
-      }
-      break;
-    case Tier::Neon: break;  // gather-dominated; scalar is honest
-    case Tier::Scalar: break;
+  if (count >= 4 && active_tier() == Tier::Avx2) {
+    detail::miss_counts_avx2(prefixes, sizes, totals, ways, count, out);
+  } else {
+    detail::miss_counts_scalar(prefixes, sizes, totals, ways, count, out);
   }
-  detail::miss_counts_scalar(prefixes, sizes, totals, ways, count, out);
 }
 
 /// Software prefetch hints (no-ops where unsupported). The batched access

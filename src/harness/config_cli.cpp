@@ -42,12 +42,4 @@ std::size_t read_threads(const common::ArgParser& parser, std::size_t fallback) 
   return static_cast<std::size_t>(read_u64(parser, kThreadsKnob, fallback));
 }
 
-bool read_toggle(const common::ArgParser& parser, const EnvFlag& knob, bool fallback) {
-  const std::string text = read_string(parser, knob, fallback ? "auto" : "off");
-  if (text == "auto" || text == "on") return true;
-  if (text == "off") return false;
-  parser.fatal_usage("--" + std::string(knob.flag) + "=" + text +
-                     ": expected auto, on, or off");
-}
-
 }  // namespace bacp::harness

@@ -71,23 +71,9 @@ inline constexpr EnvFlag kSampledIntervalInstrKnob{
 inline constexpr EnvFlag kSampledWarmupKnob{
     "sampled-warmup", "BACP_MC_SAMPLED_WARMUP",
     "detailed warm-up instructions before a sampled trial's first interval"};
-inline constexpr EnvFlag kPoolKnob{
-    "pool", "BACP_POOL",
-    "System pooling for sampled trials and sweeps: auto|off (speed dial; "
-    "results are byte-identical either way)"};
-inline constexpr EnvFlag kMmapKnob{
-    "mmap", "BACP_MMAP",
-    "snapshot-bank read path: auto = mmap zero-copy, off = buffered "
-    "(speed dial; results are byte-identical either way)"};
 
 /// The shared `--threads` / BACP_THREADS knob. Every sweep in the repo is
 /// deterministic for any worker count, so this is purely a speed dial.
 std::size_t read_threads(const common::ArgParser& parser, std::size_t fallback = 0);
-
-/// Reads an auto/off speed-dial knob (kPoolKnob, kMmapKnob): "auto" or "on"
-/// enables, "off" disables, anything else is a fatal usage error. These
-/// knobs never change results — the artifact matrix in CI proves it — so
-/// their values are not echoed into report meta.
-bool read_toggle(const common::ArgParser& parser, const EnvFlag& knob, bool fallback);
 
 }  // namespace bacp::harness

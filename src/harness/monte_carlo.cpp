@@ -35,8 +35,6 @@ std::vector<std::pair<std::string, std::string>> MonteCarloConfig::cli_flags() {
       value_flag(kSampledIntervalInstrKnob),
       value_flag(kSampledWarmupKnob),
       value_flag(kSnapshotBankKnob),
-      value_flag(kPoolKnob),
-      value_flag(kMmapKnob),
   };
 }
 
@@ -56,8 +54,6 @@ MonteCarloConfig MonteCarloConfig::from_args(const common::ArgParser& parser) {
                                                   config.sampled_interval_instructions);
   config.sampled_warmup = read_u64(parser, kSampledWarmupKnob, config.sampled_warmup);
   config.snapshot_bank = read_string(parser, kSnapshotBankKnob, config.snapshot_bank);
-  config.pool = read_toggle(parser, kPoolKnob, config.pool);
-  config.mmap = read_toggle(parser, kMmapKnob, config.mmap);
   return config;
 }
 
@@ -162,7 +158,6 @@ MonteCarloSummary run_monte_carlo(const MonteCarloConfig& config) {
     if (!config.snapshot_bank.empty()) {
       snapshot_cache.set_file_bank(config.snapshot_bank);
     }
-    snapshot_cache.set_mmap_reads(config.mmap);
     snapshot_store = std::make_unique<CacheSnapshotStore>(snapshot_cache);
   }
 
@@ -193,8 +188,7 @@ MonteCarloSummary run_monte_carlo(const MonteCarloConfig& config) {
       // Lease a pooled System for the trial (constructed once per worker,
       // rewound per trial by run_sampled_mix's reuse path); the lease
       // returns it to the pool when the trial's estimate is done.
-      SystemPool::Lease lease;
-      if (config.pool) lease = system_pool.acquire(sampled_config, result.mix);
+      SystemPool::Lease lease = system_pool.acquire(sampled_config, result.mix);
       const sampling::SampledEstimate estimate =
           sampling::run_sampled_mix(sampled_config, result.mix, sampled_run,
                                     profile_bank.get(), snapshot_store.get(),

@@ -41,14 +41,6 @@ struct MonteCarloConfig {
   /// in-memory reuse only. Sampled mode only — analytic trials never
   /// snapshot.
   std::string snapshot_bank;
-  /// System pooling for sampled trials (harness::SystemPool): reuse one
-  /// constructed System per worker via reset_in_place instead of paying
-  /// construction per trial. Pure speed dial — artifacts are byte-identical
-  /// either way (--pool=off / BACP_POOL=off disables for A/B checks).
-  bool pool = true;
-  /// Snapshot-bank read path: mmap zero-copy (default) or buffered reads
-  /// (--mmap=off / BACP_MMAP=off). Pure speed dial, byte-identical results.
-  bool mmap = true;
 
   MonteCarloConfig& with_trials(std::size_t value) {
     trials = value;
@@ -96,14 +88,6 @@ struct MonteCarloConfig {
   }
   MonteCarloConfig& with_snapshot_bank(std::string value) {
     snapshot_bank = std::move(value);
-    return *this;
-  }
-  MonteCarloConfig& with_pool(bool value) {
-    pool = value;
-    return *this;
-  }
-  MonteCarloConfig& with_mmap(bool value) {
-    mmap = value;
     return *this;
   }
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -24,7 +23,6 @@ SnapshotCache::SnapshotPtr SnapshotCache::get_or_warm(std::uint64_t key,
   std::shared_future<SnapshotPtr> future;
   std::shared_ptr<std::promise<SnapshotPtr>> owned;
   std::string bank;
-  bool mmap_reads = true;
   {
     const common::MutexLock lock(mutex_);
     const auto it = entries_.find(key);
@@ -37,14 +35,13 @@ SnapshotCache::SnapshotPtr SnapshotCache::get_or_warm(std::uint64_t key,
       future = owned->get_future().share();
       entries_.emplace(key, future);
       bank = bank_directory_;  // copied under the lock for the unlocked warm
-      mmap_reads = mmap_reads_;
     }
   }
   if (owned) {
     // Warm outside the lock: other keys proceed concurrently, and waiters
     // on this key block on the future, not the mutex.
     try {
-      if (SnapshotPtr banked = try_load(bank, key, mmap_reads)) {
+      if (SnapshotPtr banked = try_load(bank, key)) {
         {
           const common::MutexLock lock(mutex_);
           ++file_hits_;
@@ -67,11 +64,6 @@ void SnapshotCache::set_file_bank(std::string directory) {
   bank_directory_ = std::move(directory);
 }
 
-void SnapshotCache::set_mmap_reads(bool enabled) {
-  const common::MutexLock lock(mutex_);
-  mmap_reads_ = enabled;
-}
-
 std::string SnapshotCache::bank_path(const std::string& directory,
                                      std::uint64_t key) {
   char name[32];
@@ -81,36 +73,25 @@ std::string SnapshotCache::bank_path(const std::string& directory,
 }
 
 SnapshotCache::SnapshotPtr SnapshotCache::try_load(const std::string& directory,
-                                                   std::uint64_t key,
-                                                   bool mmap_reads) {
+                                                   std::uint64_t key) {
   if (directory.empty()) return nullptr;
   const auto timer = obs::global_phase_timers().scope("bank.load");
   const std::string path = bank_path(directory, key);
+  // Zero-copy: adopt the mapped file as the snapshot's backing. Restores
+  // then read sections straight out of the page cache; the multi-megabyte
+  // buffer is never duplicated on the heap. The map pins the published
+  // inode, so a concurrent re-publish (atomic rename) cannot tear it.
+  auto mapping = std::make_shared<common::MappedFile>(common::MappedFile::open(path));
+  if (!mapping->valid()) return nullptr;
   auto snapshot = std::make_shared<snapshot::SystemSnapshot>();
-  if (mmap_reads) {
-    // Zero-copy: adopt the mapped file as the snapshot's backing. Restores
-    // then read sections straight out of the page cache; the multi-megabyte
-    // buffer is never duplicated on the heap. The map pins the published
-    // inode, so a concurrent re-publish (atomic rename) cannot tear it.
-    auto mapping = std::make_shared<common::MappedFile>(common::MappedFile::open(path));
-    if (!mapping->valid()) return nullptr;
-    snapshot->mapped = mapping->bytes();
-    snapshot->backing = std::move(mapping);
-  } else {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in.is_open()) return nullptr;
-    const std::streamsize size = in.tellg();
-    if (size <= 0) return nullptr;
-    snapshot->bytes.resize(static_cast<std::size_t>(size));
-    in.seekg(0);
-    if (!in.read(reinterpret_cast<char*>(snapshot->bytes.data()), size)) return nullptr;
-  }
+  snapshot->mapped = mapping->bytes();
+  snapshot->backing = std::move(mapping);
   // The bank is advisory: a snapshot that fails the structural audit
   // (truncation, bit rot, a stale format) is simply ignored and the warm-up
   // runs — wrong bytes must never leak into a simulation. audit_snapshot
-  // reads through data(), so on the mmap path every section checksum is
-  // computed from the mapped region itself and a truncated map fails
-  // closed here, before any restore can touch it.
+  // reads through data(), so every section checksum is computed from the
+  // mapped region itself and a truncated map fails closed here, before any
+  // restore can touch it.
   if (!audit::audit_snapshot(*snapshot).ok()) return nullptr;
   return snapshot;
 }
@@ -166,8 +147,6 @@ std::vector<std::pair<std::string, std::string>> VariantSweepOptions::cli_flags(
       value_flag(kThreadsKnob),
       value_flag(kBatchKnob),
       value_flag(kSnapshotBankKnob),
-      value_flag(kPoolKnob),
-      value_flag(kMmapKnob),
       bool_flag("no-snapshot-reuse", "warm every run cold instead of forking snapshots"),
       bool_flag("shared-warmup", "one policy-neutral warm-up per mix (changes results)"),
   };
@@ -181,8 +160,6 @@ VariantSweepOptions VariantSweepOptions::from_args(const common::ArgParser& pars
   options.snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
   options.shared_warmup = parser.get_bool_or_fail("shared-warmup", false);
   options.snapshot_bank = read_string(parser, kSnapshotBankKnob, options.snapshot_bank);
-  options.pool = read_toggle(parser, kPoolKnob, options.pool);
-  options.mmap = read_toggle(parser, kMmapKnob, options.mmap);
   return options;
 }
 
@@ -233,24 +210,17 @@ void run_variant_sweep(std::span<const SweepVariant> variants,
                        const std::function<void(sim::System&, std::size_t)>& body) {
   SnapshotCache cache;
   if (!options.snapshot_bank.empty()) cache.set_file_bank(options.snapshot_bank);
-  cache.set_mmap_reads(options.mmap);
   SnapshotCache* cache_ptr = options.snapshot_reuse ? &cache : nullptr;
   SystemPool system_pool;
   common::ThreadPool pool(options.num_threads);
   pool.parallel_for(variants.size(), [&](std::size_t index) {
     const SweepVariant& variant = variants[index];
-    // Pooled path: variants sharing a config shape (repeat runs, warm-up
+    // Variants sharing a config shape (repeat runs, warm-up
     // length sweeps) reuse one System per worker via reset_in_place —
     // byte-identical to fresh construction, minus the allocation storm.
-    SystemPool::Lease lease;
-    std::optional<sim::System> local;
-    if (options.pool) {
-      lease = system_pool.acquire(variant.config, mix);
-      if (lease.pooled_hit()) lease->reset_in_place(mix);
-    } else {
-      local.emplace(variant.config, mix);
-    }
-    sim::System& system = options.pool ? *lease : *local;
+    SystemPool::Lease lease = system_pool.acquire(variant.config, mix);
+    if (lease.pooled_hit()) lease->reset_in_place(mix);
+    sim::System& system = *lease;
     if (options.batch_size != 0) system.set_batch_size(options.batch_size);
     warm_system(system, mix, variant.warmup_instructions, cache_ptr,
                 options.shared_warmup);

@@ -49,13 +49,6 @@ class SnapshotCache {
     return bank_directory_;
   }
 
-  /// Bank read path: mmap zero-copy (default) or buffered ifstream reads.
-  /// Pure speed dial — a loaded snapshot passes the same structural audit
-  /// (including per-section checksums computed from the mapped region) and
-  /// restores byte-identically either way; BACP_MMAP=off exists so the CI
-  /// artifact matrix can prove it.
-  void set_mmap_reads(bool enabled) BACP_EXCLUDES(mutex_);
-
   std::uint64_t hits() const BACP_EXCLUDES(mutex_);
   std::uint64_t misses() const BACP_EXCLUDES(mutex_);
   std::uint64_t file_hits() const BACP_EXCLUDES(mutex_);
@@ -65,12 +58,10 @@ class SnapshotCache {
   // path runs outside the lock by design, so it works on a copy of
   // bank_directory_ taken under the lock rather than re-reading the member.
   static std::string bank_path(const std::string& directory, std::uint64_t key);
-  /// Disk probe for `key`: loaded-and-validated snapshot or nullptr. With
-  /// `mmap_reads` the snapshot adopts the mapped file zero-copy (the map is
-  /// validated fail-closed before it is returned); otherwise the bytes are
-  /// read into an owned buffer.
-  static SnapshotPtr try_load(const std::string& directory, std::uint64_t key,
-                              bool mmap_reads);
+  /// Disk probe for `key`: loaded-and-validated snapshot or nullptr. The
+  /// snapshot adopts the mapped file zero-copy (the map is validated
+  /// fail-closed before it is returned).
+  static SnapshotPtr try_load(const std::string& directory, std::uint64_t key);
   static void store(const std::string& directory, std::uint64_t key,
                     const snapshot::SystemSnapshot& snapshot);
 
@@ -78,7 +69,6 @@ class SnapshotCache {
   std::map<std::uint64_t, std::shared_future<SnapshotPtr>> entries_
       BACP_GUARDED_BY(mutex_);
   std::string bank_directory_ BACP_GUARDED_BY(mutex_);
-  bool mmap_reads_ BACP_GUARDED_BY(mutex_) = true;
   std::uint64_t hits_ BACP_GUARDED_BY(mutex_) = 0;
   std::uint64_t misses_ BACP_GUARDED_BY(mutex_) = 0;
   std::uint64_t file_hits_ BACP_GUARDED_BY(mutex_) = 0;
@@ -126,13 +116,6 @@ struct VariantSweepOptions {
   /// Directory for file-backed warm snapshots shared across processes
   /// (SnapshotCache::set_file_bank); empty = in-memory reuse only.
   std::string snapshot_bank;
-  /// Reuse constructed Systems across variants with identical configs via
-  /// harness::SystemPool + reset_in_place (--pool=off / BACP_POOL=off
-  /// disables). Pure speed dial: byte-identical results either way.
-  bool pool = true;
-  /// Snapshot-bank read path: mmap zero-copy or buffered (--mmap=off /
-  /// BACP_MMAP=off). Pure speed dial: byte-identical results either way.
-  bool mmap = true;
 
   VariantSweepOptions& with_num_threads(std::size_t value) {
     num_threads = value;
@@ -152,14 +135,6 @@ struct VariantSweepOptions {
   }
   VariantSweepOptions& with_shared_warmup(bool value) {
     shared_warmup = value;
-    return *this;
-  }
-  VariantSweepOptions& with_pool(bool value) {
-    pool = value;
-    return *this;
-  }
-  VariantSweepOptions& with_mmap(bool value) {
-    mmap = value;
     return *this;
   }
 

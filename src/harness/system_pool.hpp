@@ -27,10 +27,9 @@ namespace bacp::harness {
 /// behind. The consumer must rewind it with System::reset_in_place(mix)
 /// before use — sampling::run_sampled_mix's `reuse` parameter does exactly
 /// that, so harness callers routing through it never touch stale state.
-/// Pooling is a pure speed dial: reset_in_place() restores
-/// cold-construction state bit-exactly, so results are byte-identical with
-/// the pool on or off (tests/test_equivalence.cpp proves it at the snapshot
-/// level, the CI artifact matrix at the report level).
+/// reset_in_place() restores cold-construction state bit-exactly, so a
+/// pooled System produces the bytes a freshly constructed one would
+/// (tests/test_equivalence.cpp proves it at the snapshot level).
 class SystemPool {
  public:
   /// Move-only handle to a leased System; returns it to the pool's idle

@@ -42,8 +42,9 @@ void StackProfiler::update_stack(std::size_t stack_index, std::uint64_t entry) {
   std::uint64_t* stack = stack_entries_.data() + stack_index * config_.profiled_ways;
   const std::uint32_t size = stack_sizes_[stack_index];
 
-  const std::uint32_t depth = common::simd::find_first_equal_u64(stack, size, entry);
-  if (depth != common::simd::kLaneNotFound) {
+  std::uint32_t depth = 0;
+  while (depth < size && stack[depth] != entry) ++depth;
+  if (depth < size) {
     // Hit at `depth`: move-to-front shifts the shallower entries down one.
     histogram_.increment(depth);
     std::memmove(stack + 1, stack, depth * sizeof(std::uint64_t));
@@ -86,8 +87,10 @@ void StackProfiler::observe_batch(const BlockAddress* blocks, std::uint32_t coun
     const std::uint32_t n = std::min(count, kChunk);
     observed_ += n;
     std::uint32_t sampled_at[kChunk];
-    const std::size_t num_sampled =
-        common::simd::collect_masked_zero(blocks, n, member_mask, sampled_at);
+    std::size_t num_sampled = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if ((blocks[i] & member_mask) == 0) sampled_at[num_sampled++] = i;
+    }
     sampled_ += num_sampled;
 
     std::uint64_t entries[kChunk];

@@ -47,7 +47,7 @@ class StackProfiler {
 
   /// Feeds `count` accesses with the front half batched: the pow2 sampling
   /// mask resolves across the whole batch (one AND+compare per lane), the
-  /// partial-tag mix vectorizes over the survivors, and their stack lines
+  /// partial-tag mix runs over the survivors, and their stack lines
   /// are prefetched before the per-access move-to-front updates replay in
   /// order. Counters and stacks end bit-identical to calling observe() per
   /// element.

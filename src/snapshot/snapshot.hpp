@@ -61,8 +61,8 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes);
 /// copyable, shareable across threads once built (readers never mutate).
 ///
 /// Two storage modes share one read interface, data():
-///   - owned: `bytes` holds the buffer (SnapshotBuilder output, buffered
-///     file loads). `backing` is null.
+///   - owned: `bytes` holds the buffer (SnapshotBuilder output).
+///     `backing` is null.
 ///   - mapped (zero-copy): `mapped` spans a memory-mapped snapshot-bank
 ///     file and `backing` shares ownership of the mapping, so copies of
 ///     the snapshot — and every SnapshotView/Reader derived from it — keep

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "harness/snapshot_cache.hpp"
+#include "obs/report.hpp"
+
 namespace bacp::harness {
 namespace {
 
@@ -177,6 +182,30 @@ TEST(MonteCarloConfig, FromArgsReadsSampledKnobs) {
   EXPECT_EQ(config.sampled_intervals, 16u);
   EXPECT_EQ(config.sampled_interval_instructions, 10'000u);
   EXPECT_EQ(config.sampled_warmup, 20'000u);
+}
+
+/// The CLI prologue every bench binary runs: parse through obs::handle_cli
+/// (exiting with its code on a parse error), then build the config.
+template <typename Config>
+void parse_like_a_binary(const char* flag) {
+  common::ArgParser parser(obs::with_report_flags(Config::cli_flags()));
+  const char* argv[] = {"prog", flag};
+  if (const auto code = obs::handle_cli(parser, 2, argv)) std::exit(*code);
+  (void)Config::from_args(parser);
+  std::exit(0);
+}
+
+// Pooling and mmap bank reads are unconditional; their old --pool/--mmap
+// dials must fail loudly rather than be silently ignored by a stale script.
+TEST(MonteCarloConfigDeathTest, RemovedSpeedDialFlagsAreUnknown) {
+  for (const char* flag : {"--pool=off", "--mmap=off"}) {
+    EXPECT_EXIT(parse_like_a_binary<MonteCarloConfig>(flag),
+                ::testing::ExitedWithCode(2), "unknown flag")
+        << flag;
+    EXPECT_EXIT(parse_like_a_binary<VariantSweepOptions>(flag),
+                ::testing::ExitedWithCode(2), "unknown flag")
+        << flag;
+  }
 }
 
 TEST(MonteCarlo, DifferentSeedsGiveDifferentMixes) {

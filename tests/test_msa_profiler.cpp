@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
+#include "snapshot/codec.hpp"
 #include "trace/spec2000.hpp"
 #include "trace/synthetic.hpp"
 
@@ -180,6 +184,51 @@ TEST(StackProfiler, ProductionConfigWithinFivePercentOfReference) {
     const double ref = reference_curve.miss_ratio(w);
     const double got = production_curve.miss_ratio(w);
     EXPECT_NEAR(got, ref, 0.05 * ref + 0.02) << "at " << w << " ways";
+  }
+}
+
+std::vector<std::uint8_t> saved_state(const StackProfiler& profiler) {
+  std::vector<std::uint8_t> bytes;
+  snapshot::Writer writer(bytes);
+  profiler.save_state(writer);
+  return bytes;
+}
+
+// observe_batch filters sampled sets and mixes partial tags over a whole
+// chunk before replaying the stack updates; counters and stacks must end
+// byte-identical to per-element observe(), for pow2 and modulo sampling,
+// full and partial tags, and batches longer than one internal chunk.
+TEST(StackProfiler, ObserveBatchMatchesPerElementObserve) {
+  struct Shape {
+    std::uint32_t sets, sampling, tag_bits;
+    WayCount ways;
+  };
+  for (const Shape shape : {Shape{64, 1, 0, 16}, Shape{256, 8, 12, 24},
+                            Shape{2048, 32, 12, 72}, Shape{128, 3, 9, 8}}) {
+    ProfilerConfig config;
+    config.num_sets = shape.sets;
+    config.set_sampling = shape.sampling;
+    config.partial_tag_bits = shape.tag_bits;
+    config.profiled_ways = shape.ways;
+    StackProfiler batched(config);
+    StackProfiler scalar(config);
+    common::Rng rng(shape.sets * 31 + shape.sampling);
+    std::vector<BlockAddress> pool;
+    for (const std::uint32_t count : {1u, 7u, 64u, 256u, 300u, 1000u}) {
+      std::vector<BlockAddress> blocks(count);
+      for (auto& block : blocks) {
+        if (!pool.empty() && rng.next_bool(0.75)) {
+          block = pool[rng.next_below(pool.size())];
+        } else {
+          block = rng.next_u64() & 0xFFFFFF;
+          pool.push_back(block);
+        }
+        scalar.observe(block);
+      }
+      batched.observe_batch(blocks.data(), count);
+      ASSERT_EQ(saved_state(batched), saved_state(scalar))
+          << "sets " << shape.sets << " sampling " << shape.sampling << " count " << count;
+    }
   }
 }
 

@@ -1,10 +1,9 @@
-// Oracle tests for the runtime-dispatched SIMD kernels in common/simd.hpp:
-// every vector kernel is checked lane-for-lane against its scalar reference
-// on randomized inputs, including the wrap-around and tail shapes the
-// batched access pipeline produces. On hosts without AVX2 the vector entry
-// points fall back to scalar, so the comparisons stay valid (they just stop
-// being interesting) — the CI matrix re-runs the full artifact suite under
-// BACP_SIMD=off to cover the forced-scalar configuration end to end.
+// Oracle tests for the analytic kernels in common/simd.hpp (mu_scan,
+// miss_counts): the AVX2 kernel and the dispatched entry point are checked
+// against the scalar reference on randomized curves, bit for bit (memcmp on
+// the doubles), across the lane-count, tail, clamp and empty-curve shapes
+// the allocation search produces. On hosts without AVX2 the _avx2 symbols
+// are the portable fallbacks, so the comparisons stay valid but trivial.
 
 #include <gtest/gtest.h>
 
@@ -12,20 +11,14 @@
 #include <cstring>
 #include <vector>
 
-#include "cache/partial_tag.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 
 namespace bacp {
 namespace {
 
-using common::simd::detail::kGroupOccupiedOffset;
-using common::simd::detail::kGroupSlotBytes;
-using common::simd::detail::kRunMatch;
+using common::simd::Tier;
 
-/// Whether the AVX2 kernels actually run vector code here (otherwise the
-/// _avx2 symbols are the portable fallbacks and the oracle is trivially
-/// true).
 bool host_runs_avx2() {
 #if defined(__x86_64__) || defined(_M_X64)
   return __builtin_cpu_supports("avx2") != 0;
@@ -34,201 +27,108 @@ bool host_runs_avx2() {
 #endif
 }
 
-/// A random linear-probe table in the FlatHash64 slot layout: `count`
-/// 16-byte slots, u64 key at offset 0, occupancy byte at offset 12.
-/// `load` controls the occupied fraction; occupied slots get distinct keys
-/// derived from their index so tests can aim probes at known keys.
-std::vector<unsigned char> random_table(std::size_t count, double load,
-                                        common::Rng& rng) {
-  std::vector<unsigned char> table(count * kGroupSlotBytes, 0);
-  for (std::size_t slot = 0; slot < count; ++slot) {
-    if (!rng.next_bool(load)) continue;
-    const std::uint64_t key = 0x9E3779B97F4A7C15ull * (slot + 1);
-    std::memcpy(table.data() + slot * kGroupSlotBytes, &key, sizeof(key));
-    table[slot * kGroupSlotBytes + kGroupOccupiedOffset] = 1;
+/// A random miss-ratio curve in raw form: `size` non-decreasing prefix hit
+/// counts with fractional parts (so every divide rounds), and a total at or
+/// above the deepest prefix.
+struct RawCurve {
+  std::vector<double> prefix;
+  double total = 0.0;
+};
+
+RawCurve random_curve(common::Rng& rng, std::size_t size) {
+  RawCurve curve;
+  double hits = 0.0;
+  for (std::size_t i = 0; i < size; ++i) {
+    hits += rng.next_double() * 1000.0;
+    curve.prefix.push_back(hits);
   }
-  return table;
+  curve.total = hits + rng.next_double() * 5000.0 + 1.0;
+  return curve;
 }
 
-std::uint64_t key_at(const std::vector<unsigned char>& table, std::size_t slot) {
-  std::uint64_t key;
-  std::memcpy(&key, table.data() + slot * kGroupSlotBytes, sizeof(key));
-  return key;
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-bool occupied_at(const std::vector<unsigned char>& table, std::size_t slot) {
-  return table[slot * kGroupSlotBytes + kGroupOccupiedOffset] != 0;
+TEST(SimdTier, ActiveTierFollowsCpu) {
+  EXPECT_EQ(common::simd::active_tier(), host_runs_avx2() ? Tier::Avx2 : Tier::Scalar);
+  EXPECT_STREQ(common::simd::to_string(Tier::Avx2), "avx2");
+  EXPECT_STREQ(common::simd::to_string(Tier::Scalar), "scalar");
 }
 
-// ---------------------------------------------------------------------------
-// probe_group16: four-slot group probe.
-// ---------------------------------------------------------------------------
-
-TEST(SimdProbeGroup16, MatchesScalarOnRandomGroups) {
-  common::Rng rng(0x516D);
-  for (std::uint32_t round = 0; round < 20000; ++round) {
-    const auto table = random_table(4, 0.6, rng);
-    // Probe for a present key, an absent key, or garbage, in rotation.
-    std::uint64_t needle;
-    if (round % 3 == 0) {
-      needle = key_at(table, rng.next_below(4));
-    } else if (round % 3 == 1) {
-      needle = 0xDEADBEEFull + round;
-    } else {
-      needle = rng.next_u64();
-    }
-    const std::uint32_t scalar =
-        common::simd::detail::probe_group16_scalar(table.data(), needle);
-    const std::uint32_t avx2 =
-        common::simd::detail::probe_group16_avx2(table.data(), needle);
-    ASSERT_EQ(scalar, avx2) << "round " << round;
-    // The dispatching wrapper must agree with both.
-    ASSERT_EQ(common::simd::probe_group16(table.data(), needle), scalar);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// probe_run16: whole-run probe with wrap-around.
-// ---------------------------------------------------------------------------
-
-TEST(SimdProbeRun16, MatchesScalarOnRandomTables) {
-  common::Rng rng(0x9716);
-  for (const std::size_t count : {16u, 64u, 256u}) {
-    const std::uint64_t mask = count - 1;
-    for (std::uint32_t round = 0; round < 5000; ++round) {
-      // 0.8 load keeps probe runs long enough to cross group boundaries; a
-      // forced empty slot guarantees termination (FlatHash64 never exceeds
-      // 7/8 load, so full tables are outside the kernel's contract).
-      auto table = random_table(count, 0.8, rng);
-      const std::size_t forced_empty = rng.next_below(count);
-      std::memset(table.data() + forced_empty * kGroupSlotBytes, 0, kGroupSlotBytes);
-      const std::uint64_t start = rng.next_below(count);
-      std::uint64_t needle;
-      if (round % 2 == 0) {
-        needle = key_at(table, rng.next_below(count));  // maybe absent slot key
-      } else {
-        needle = rng.next_u64() | 1;  // never a generated key
-      }
-      const std::uint64_t scalar = common::simd::detail::probe_run16_scalar(
-          table.data(), mask, start, needle);
-      const std::uint64_t avx2 = common::simd::detail::probe_run16_avx2(
-          table.data(), mask, start, needle);
-      ASSERT_EQ(scalar, avx2) << "count " << count << " round " << round;
-
-      // Decode and check the contract directly against the table.
-      const std::uint64_t slot = scalar >> 1;
-      ASSERT_LT(slot, count);
-      if ((scalar & kRunMatch) != 0) {
-        ASSERT_TRUE(occupied_at(table, slot));
-        ASSERT_EQ(key_at(table, slot), needle);
-      } else {
-        ASSERT_FALSE(occupied_at(table, slot));
+TEST(SimdMuScan, MatchesScalarBitForBit) {
+  common::Rng rng(0x5CA7);
+  for (const std::size_t size : {0u, 1u, 3u, 8u, 16u, 33u}) {
+    for (std::uint32_t round = 0; round < 50; ++round) {
+      const RawCurve curve = random_curve(rng, size);
+      const auto inside = static_cast<std::uint32_t>(size == 0 ? 0 : rng.next_below(size));
+      const auto past = static_cast<std::uint32_t>(size + rng.next_below(4));
+      for (const std::uint32_t current : {0u, inside, past}) {
+        for (const std::uint32_t max_extra : {1u, 3u, 4u, 5u, 31u}) {
+          std::vector<double> scalar(max_extra, 0.0);
+          std::vector<double> avx2(max_extra, -1.0);
+          std::vector<double> dispatched(max_extra, -2.0);
+          common::simd::detail::mu_scan_scalar(curve.prefix.data(), size, curve.total,
+                                               current, max_extra, scalar.data());
+          common::simd::detail::mu_scan_avx2(curve.prefix.data(), size, curve.total,
+                                             current, max_extra, avx2.data());
+          common::simd::mu_scan(curve.prefix.data(), size, curve.total, current,
+                                max_extra, dispatched.data());
+          ASSERT_TRUE(same_bits(scalar, avx2))
+              << "size " << size << " current " << current << " max_extra " << max_extra;
+          ASSERT_TRUE(same_bits(scalar, dispatched))
+              << "size " << size << " current " << current << " max_extra " << max_extra;
+        }
       }
     }
   }
 }
 
-TEST(SimdProbeRun16, WrapAroundRunsCrossTheTableEnd) {
-  // A cluster that straddles the table end: slots [12..15] and [0..2]
-  // occupied, the rest empty. Probes starting inside the tail must wrap to
-  // find keys (or the first empty slot) at the front.
-  const std::size_t count = 16;
-  const std::uint64_t mask = count - 1;
-  std::vector<unsigned char> table(count * kGroupSlotBytes, 0);
-  auto occupy = [&](std::size_t slot) {
-    const std::uint64_t key = 0x9E3779B97F4A7C15ull * (slot + 1);
-    std::memcpy(table.data() + slot * kGroupSlotBytes, &key, sizeof(key));
-    table[slot * kGroupSlotBytes + kGroupOccupiedOffset] = 1;
-  };
-  for (const std::size_t slot : {12u, 13u, 14u, 15u, 0u, 1u, 2u}) occupy(slot);
-
-  for (std::uint64_t start = 0; start < count; ++start) {
-    // Key physically before the start slot in the cluster: reachable only
-    // by wrapping through the table end.
-    for (const std::size_t target : {12u, 15u, 0u, 2u}) {
-      const std::uint64_t needle = key_at(table, target);
-      const std::uint64_t scalar = common::simd::detail::probe_run16_scalar(
-          table.data(), mask, start, needle);
-      const std::uint64_t avx2 = common::simd::detail::probe_run16_avx2(
-          table.data(), mask, start, needle);
-      ASSERT_EQ(scalar, avx2) << "start " << start << " target " << target;
-    }
-    // Absent key: both must land on the same empty slot.
-    const std::uint64_t scalar = common::simd::detail::probe_run16_scalar(
-        table.data(), mask, start, 0xFEEDull);
-    const std::uint64_t avx2 = common::simd::detail::probe_run16_avx2(
-        table.data(), mask, start, 0xFEEDull);
-    ASSERT_EQ(scalar, avx2) << "start " << start;
-    ASSERT_EQ(scalar & kRunMatch, 0u);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// find_first_equal_u64: tag-column scan.
-// ---------------------------------------------------------------------------
-
-TEST(SimdFindFirstEqual, MatchesScalarAcrossCountsAndPositions) {
-  common::Rng rng(0xF1F5);
-  for (std::uint32_t count = 0; count <= 33; ++count) {
-    for (std::uint32_t round = 0; round < 500; ++round) {
-      std::vector<std::uint64_t> values(count);
-      for (auto& value : values) value = rng.next_below(8);  // force duplicates
-      const std::uint64_t needle = rng.next_below(8);
-      const std::uint32_t scalar = common::simd::detail::find_first_equal_u64_scalar(
-          values.data(), count, needle);
-      ASSERT_EQ(common::simd::find_first_equal_u64(values.data(), count, needle),
-                scalar)
-          << "count " << count;
-      if (host_runs_avx2()) {
-        ASSERT_EQ(common::simd::detail::find_first_equal_u64_avx2(values.data(), count,
-                                                                  needle),
-                  scalar)
-            << "count " << count;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// mix_to_partial_tags / collect_masked_zero: batched profiler front half.
-// ---------------------------------------------------------------------------
-
-TEST(SimdPartialTags, BatchedMixMatchesScalarPartialTag) {
-  common::Rng rng(0x7A65);
-  for (const std::uint32_t width : {1u, 9u, 16u, 21u, 32u}) {
-    for (const std::size_t count : {0u, 1u, 3u, 4u, 7u, 64u, 255u}) {
-      std::vector<std::uint64_t> tags(count);
-      for (auto& tag : tags) tag = rng.next_u64();
-      std::vector<std::uint64_t> out(count, ~0ull);
-      common::simd::mix_to_partial_tags(tags.data(), out.data(), count, width);
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(out[i], cache::partial_tag(tags[i], width))
-            << "width " << width << " lane " << i;
-      }
-    }
-  }
-}
-
-TEST(SimdCollectMaskedZero, MatchesScalarFilter) {
-  common::Rng rng(0xC011);
-  for (const std::size_t count : {0u, 1u, 5u, 64u, 250u}) {
+TEST(SimdMissCounts, MatchesScalarBitForBit) {
+  common::Rng rng(0x3155);
+  std::uint32_t zero_ways = 0;
+  std::uint32_t empty_curves = 0;
+  std::uint32_t past_end = 0;
+  for (std::size_t count = 1; count <= 9; ++count) {
     for (std::uint32_t round = 0; round < 200; ++round) {
-      std::vector<std::uint64_t> values(count);
-      for (auto& value : values) value = rng.next_below(64);
-      const std::uint64_t mask = 0x30;  // pow2-ish sampling mask
-      std::vector<std::uint32_t> out(count + 1, 0xABABABABu);
-      const std::size_t matched =
-          common::simd::collect_masked_zero(values.data(), count, mask, out.data());
-      std::vector<std::uint32_t> expected;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        if ((values[i] & mask) == 0) expected.push_back(i);
+      std::vector<RawCurve> curves;
+      std::vector<const double*> prefixes;
+      std::vector<std::uint32_t> sizes;
+      std::vector<double> totals;
+      std::vector<std::uint32_t> ways;
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        const auto size = static_cast<std::uint32_t>(rng.next_below(3) == 0
+                                                         ? 0
+                                                         : 1 + rng.next_below(16));
+        curves.push_back(random_curve(rng, size));
+        sizes.push_back(size);
+        totals.push_back(curves.back().total);
+        ways.push_back(static_cast<std::uint32_t>(rng.next_below(size + 4)));
+        zero_ways += ways.back() == 0 ? 1u : 0u;
+        empty_curves += size == 0 ? 1u : 0u;
+        past_end += ways.back() > size && size > 0 ? 1u : 0u;
       }
-      ASSERT_EQ(matched, expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(out[i], expected[i]);
-      }
+      for (const RawCurve& curve : curves) prefixes.push_back(curve.prefix.data());
+      std::vector<double> scalar(count, 0.0);
+      std::vector<double> avx2(count, -1.0);
+      std::vector<double> dispatched(count, -2.0);
+      common::simd::detail::miss_counts_scalar(prefixes.data(), sizes.data(),
+                                               totals.data(), ways.data(), count,
+                                               scalar.data());
+      common::simd::detail::miss_counts_avx2(prefixes.data(), sizes.data(),
+                                             totals.data(), ways.data(), count,
+                                             avx2.data());
+      common::simd::miss_counts(prefixes.data(), sizes.data(), totals.data(), ways.data(),
+                                count, dispatched.data());
+      ASSERT_TRUE(same_bits(scalar, avx2)) << "count " << count;
+      ASSERT_TRUE(same_bits(scalar, dispatched)) << "count " << count;
     }
   }
+  // The randomized lanes must actually reach every clamp branch.
+  EXPECT_GT(zero_ways, 0u);
+  EXPECT_GT(empty_curves, 0u);
+  EXPECT_GT(past_end, 0u);
 }
 
 }  // namespace
