@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <numeric>
 
 #include "common/assert.hpp"
-#include "snapshot/codec.hpp"
 
 namespace bacp::cache {
 
@@ -36,42 +36,34 @@ SetAssocCache::SetAssocCache(const Config& config)
   BACP_ASSERT(config_.num_cores >= 1, "cache needs at least one core");
   const std::size_t lines = std::size_t{config_.num_sets} * config_.ways;
   tags_.assign(lines, 0);
-  allocators_.assign(lines, kInvalidCore);
-  SetMeta initial;
-  initial.head = 0;
-  initial.tail = static_cast<std::uint8_t>(config_.ways - 1);
-  meta_.assign(config_.num_sets, initial);
+  allocators_.resize(lines);
+  meta_.resize(config_.num_sets);
   links_.resize(lines * 2);
-  // Initial recency order: way 0 MRU .. way (ways-1) LRU, matching the
-  // iota-initialized lru_order of the reference formulation.
-  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
-    for (WayIndex way = 0; way < config_.ways; ++way) {
-      links_[link_index(set, way)] =
-          way == 0 ? kNil : static_cast<std::uint8_t>(way - 1);
-      links_[link_index(set, way) + 1] =
-          way + 1 == config_.ways ? kNil : static_cast<std::uint8_t>(way + 1);
-    }
-  }
-  // Default: every core owns every way (unpartitioned shared cache).
-  way_masks_.assign(config_.ways, ~CoreMask{0});
-  rebuild_owned_ways();
+  way_masks_.resize(config_.ways);
+  reset_in_place();
 }
 
 void SetAssocCache::reset_in_place() {
-  std::fill(tags_.begin(), tags_.end(), 0);
+  // Tags keep their bytes: with every valid bit cleared below, no way's
+  // tag is read again before a fill overwrites it.
   std::fill(allocators_.begin(), allocators_.end(), kInvalidCore);
   SetMeta initial;
   initial.head = 0;
   initial.tail = static_cast<std::uint8_t>(config_.ways - 1);
   std::fill(meta_.begin(), meta_.end(), initial);
-  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
-    for (WayIndex way = 0; way < config_.ways; ++way) {
-      links_[link_index(set, way)] =
-          way == 0 ? kNil : static_cast<std::uint8_t>(way - 1);
-      links_[link_index(set, way) + 1] =
-          way + 1 == config_.ways ? kNil : static_cast<std::uint8_t>(way + 1);
-    }
+  // Initial recency order: way 0 MRU .. way (ways-1) LRU, matching the
+  // iota-initialized lru_order of the reference formulation. Every set
+  // starts with the same links, so set 0's pattern is copied to the rest.
+  for (WayIndex way = 0; way < config_.ways; ++way) {
+    links_[link_index(0, way)] = way == 0 ? kNil : static_cast<std::uint8_t>(way - 1);
+    links_[link_index(0, way) + 1] =
+        way + 1 == config_.ways ? kNil : static_cast<std::uint8_t>(way + 1);
   }
+  const std::size_t set_links = link_index(1, 0);
+  for (std::uint32_t set = 1; set < config_.num_sets; ++set) {
+    std::memcpy(links_.data() + link_index(set, 0), links_.data(), set_links);
+  }
+  // Default: every core owns every way (unpartitioned shared cache).
   std::fill(way_masks_.begin(), way_masks_.end(), ~CoreMask{0});
   rebuild_owned_ways();
   stats_.clear();
@@ -330,46 +322,104 @@ std::vector<Line> SetAssocCache::resident_lines() const {
   return lines;
 }
 
+namespace {
+
+// Snapshot mask encoding: the low `bytes` bytes, least significant first.
+void put_mask(std::uint8_t* out, std::uint64_t mask, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    out[i] = static_cast<std::uint8_t>(mask >> (8 * i));
+  }
+}
+
+std::uint64_t get_mask(const std::uint8_t* in, std::size_t bytes) {
+  std::uint64_t mask = 0;
+  for (std::size_t i = 0; i < bytes; ++i) mask |= std::uint64_t{in[i]} << (8 * i);
+  return mask;
+}
+
+}  // namespace
+
 void SetAssocCache::save_state(snapshot::Writer& writer) const {
   // Geometry echo: restore_state() cross-checks these against the live
   // cache so a snapshot can never be applied to a differently-shaped one.
   writer.u32(config_.num_sets);
   writer.u32(config_.ways);
   writer.u32(config_.num_cores);
-  writer.scalars(std::span<const BlockAddress>(tags_));
-  writer.scalars(std::span<const CoreId>(allocators_));
-  // SetMeta has padding; serialize field-by-field, never as raw bytes.
-  for (const SetMeta& meta : meta_) {
-    writer.u64(meta.valid);
-    writer.u64(meta.dirty);
-    writer.u8(meta.head);
-    writer.u8(meta.tail);
-  }
-  writer.scalars(std::span<const std::uint8_t>(links_));
   writer.scalars(std::span<const CoreMask>(way_masks_));
   writer.scalars(std::span<const std::uint64_t>(stats_.hits));
   writer.scalars(std::span<const std::uint64_t>(stats_.misses));
   writer.scalars(std::span<const std::uint64_t>(stats_.evictions));
+  const std::uint64_t live = valid_lines();
+  writer.u64(live);
+  const std::size_t masks = mask_bytes();
+  std::uint8_t* set_record =
+      writer.bytes(std::size_t{config_.num_sets} * set_record_bytes()).data();
+  for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
+    put_mask(set_record, meta_[set].valid, masks);
+    put_mask(set_record + masks, meta_[set].dirty, masks);
+    set_record += 2 * masks;
+    // The recency list always links every way, so its MRU-first order is
+    // the whole list: head, tail and both link directions follow from it.
+    const std::uint8_t* links = links_.data() + link_index(set, 0);
+    std::uint8_t way = meta_[set].head;
+    for (WayIndex rank = 0; rank < config_.ways; ++rank) {
+      BACP_ASSERT(way != kNil, "recency list shorter than the way count");
+      *set_record++ = way;
+      way = links[std::size_t{way} * 2 + 1];
+    }
+  }
+  std::uint8_t* line_record = writer.bytes(live * kLiveRecordBytes).data();
+  for_each_valid([&](std::uint32_t set, WayIndex way, BlockAddress block) {
+    std::memcpy(line_record, &block, sizeof(block));
+    std::memcpy(line_record + sizeof(block), &allocators_[line_index(set, way)],
+                sizeof(CoreId));
+    line_record += kLiveRecordBytes;
+  });
 }
 
-void SetAssocCache::restore_state(snapshot::Reader& reader) {
+std::uint64_t SetAssocCache::restore_layout(snapshot::Reader& reader) {
   BACP_ASSERT(reader.u32() == config_.num_sets, "snapshot num_sets mismatch");
   BACP_ASSERT(reader.u32() == config_.ways, "snapshot ways mismatch");
   BACP_ASSERT(reader.u32() == config_.num_cores, "snapshot num_cores mismatch");
-  reader.scalars_into(std::span<BlockAddress>(tags_));
-  reader.scalars_into(std::span<CoreId>(allocators_));
-  for (SetMeta& meta : meta_) {
-    meta.valid = reader.u64();
-    meta.dirty = reader.u64();
-    meta.head = reader.u8();
-    meta.tail = reader.u8();
-  }
-  reader.scalars_into(std::span<std::uint8_t>(links_));
   reader.scalars_into(std::span<CoreMask>(way_masks_));
   reader.scalars_into(std::span<std::uint64_t>(stats_.hits));
   reader.scalars_into(std::span<std::uint64_t>(stats_.misses));
   reader.scalars_into(std::span<std::uint64_t>(stats_.evictions));
   rebuild_owned_ways();
+  const std::uint64_t live = reader.u64();
+  BACP_ASSERT(live <= tags_.size(), "snapshot live line count mismatch");
+  return live;
+}
+
+void SetAssocCache::restore_set(std::uint32_t set, const std::uint8_t* record) {
+  const std::size_t masks = mask_bytes();
+  const std::uint64_t way_bits =
+      config_.ways == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << config_.ways) - 1;
+  SetMeta& meta = meta_[set];
+  meta.valid = get_mask(record, masks);
+  meta.dirty = get_mask(record + masks, masks);
+  BACP_ASSERT((meta.valid & ~way_bits) == 0, "snapshot valid bit beyond the way count");
+  BACP_ASSERT((meta.dirty & ~meta.valid) == 0, "snapshot dirty bit on an invalid way");
+  // Recency order, MRU first: check it is a permutation of the ways before
+  // any way id indexes the links, then relink the list from it.
+  const std::uint8_t* order = record + 2 * masks;
+  std::uint64_t seen = 0;
+  bool in_range = true;
+  for (WayIndex rank = 0; rank < config_.ways; ++rank) {
+    in_range &= order[rank] < config_.ways;
+    seen |= std::uint64_t{1} << (order[rank] & 63u);
+  }
+  BACP_ASSERT(in_range && seen == way_bits,
+              "snapshot recency order is not a permutation of the ways");
+  std::uint8_t* links = links_.data() + link_index(set, 0);
+  links[std::size_t{order[0]} * 2] = kNil;
+  for (WayIndex rank = 1; rank < config_.ways; ++rank) {
+    links[std::size_t{order[rank - 1]} * 2 + 1] = order[rank];
+    links[std::size_t{order[rank]} * 2] = order[rank - 1];
+  }
+  links[std::size_t{order[config_.ways - 1]} * 2 + 1] = kNil;
+  meta.head = order[0];
+  meta.tail = order[config_.ways - 1];
 }
 
 std::uint64_t SetAssocCache::valid_lines() const {

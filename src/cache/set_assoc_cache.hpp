@@ -1,24 +1,23 @@
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/simd.hpp"
 #include "common/types.hpp"
+#include "snapshot/codec.hpp"
 
 namespace bacp::audit {
 class CacheAuditor;
 class NucaAuditor;
 }  // namespace bacp::audit
-
-namespace bacp::snapshot {
-class Writer;
-class Reader;
-}  // namespace bacp::snapshot
 
 namespace bacp::cache {
 
@@ -153,12 +152,29 @@ class SetAssocCache {
   /// Count of valid lines (for occupancy tests).
   std::uint64_t valid_lines() const;
 
-  /// Serializes the full mutable state (lines, recency lists, partition
-  /// masks, statistics) for warm-state snapshots. Restore asserts the
-  /// snapshot's geometry echo matches this cache's configuration; identical
-  /// state always serializes to identical bytes.
+  /// Serializes the full mutable state for warm-state snapshots (format
+  /// v4): the geometry echo, the way masks and statistics, a live-line
+  /// count; then one record per set — the valid and dirty masks (the low
+  /// ceil(ways / 8) bytes, least significant first) and the recency order
+  /// MRU first, one byte per way; then one {tag u64, allocator u32} record
+  /// per valid way, sets ascending, ways ascending. Dead ways are not
+  /// state: no lookup, fill or victim path trusts an invalid way's tag, and
+  /// the allocator of every invalid way is kInvalidCore by contract
+  /// (audit_cache). Identical state always serializes to identical bytes.
   void save_state(snapshot::Writer& writer) const;
-  void restore_state(snapshot::Reader& reader);
+
+  /// Restores a save_state() image. Asserts the geometry echo, valid bits
+  /// below `ways`, dirty ⊆ valid, each recency order a permutation of the
+  /// ways, and the live count against the valid bits. Dead ways get
+  /// allocator kInvalidCore and keep whatever tag bytes they held.
+  /// on_live(set, way, block) runs once per restored valid line, in stream
+  /// order — DnucaCache derives its residency index from it in the same
+  /// pass.
+  template <typename OnLive>
+  void restore_state(snapshot::Reader& reader, OnLive&& on_live);
+  void restore_state(snapshot::Reader& reader) {
+    restore_state(reader, [](std::uint32_t, WayIndex, BlockAddress) {});
+  }
 
   /// Snapshot of every valid line (invariant checks and debugging; O(size)).
   std::vector<Line> resident_lines() const;
@@ -237,10 +253,23 @@ class SetAssocCache {
   void touch_mru(std::uint32_t set, WayIndex way);
   std::optional<LookupResult> find(BlockAddress block) const;
   void rebuild_owned_ways();
+  /// restore_state() pieces: restore_layout() reads everything ahead of
+  /// the set records (geometry echo, way masks, statistics) and returns the
+  /// live count; restore_set() decodes one set record (masks, recency
+  /// order) and asserts its shape.
+  std::uint64_t restore_layout(snapshot::Reader& reader);
+  void restore_set(std::uint32_t set, const std::uint8_t* record);
+
+  /// Snapshot record sizes: one set's {valid, dirty, recency order}, and
+  /// one live line's {tag, allocator}.
+  std::size_t mask_bytes() const { return (config_.ways + 7) / 8; }
+  std::size_t set_record_bytes() const { return 2 * mask_bytes() + config_.ways; }
+  static constexpr std::size_t kLiveRecordBytes = sizeof(BlockAddress) + sizeof(CoreId);
 
   Config config_;
   // Per-line columns (num_sets * ways, way-major within a set). Tags of one
   // set are contiguous so the probe loop reads a single cache line or two.
+  // NOLINTNEXTLINE(bacp-reset-fields): an invalid way's tag is never read; reset clears every valid bit
   std::vector<BlockAddress> tags_;
   std::vector<CoreId> allocators_;
   std::vector<SetMeta> meta_;
@@ -255,5 +284,34 @@ class SetAssocCache {
   std::vector<std::uint64_t> owned_ways_;
   CacheStats stats_;
 };
+
+template <typename OnLive>
+void SetAssocCache::restore_state(snapshot::Reader& reader, OnLive&& on_live) {
+  const std::uint64_t live = restore_layout(reader);
+  const std::size_t set_bytes = set_record_bytes();
+  const std::uint8_t* set_record =
+      reader.bytes(std::size_t{config_.num_sets} * set_bytes).data();
+  const std::uint8_t* line_record = reader.bytes(live * kLiveRecordBytes).data();
+  // One pass: each set's record, then its live lines' records.
+  std::uint64_t consumed = 0;
+  for (std::uint32_t set = 0; set < config_.num_sets; ++set, set_record += set_bytes) {
+    restore_set(set, set_record);
+    const std::uint64_t valid = meta_[set].valid;
+    consumed += static_cast<std::uint64_t>(std::popcount(valid));
+    BACP_ASSERT(consumed <= live, "snapshot live line count mismatch");
+    const std::size_t base = line_index(set, 0);
+    std::fill_n(allocators_.data() + base, config_.ways, kInvalidCore);
+    for (std::uint64_t bits = valid; bits != 0; bits &= bits - 1) {
+      const auto way = static_cast<WayIndex>(std::countr_zero(bits));
+      BlockAddress block = 0;
+      std::memcpy(&block, line_record, sizeof(block));
+      std::memcpy(&allocators_[base + way], line_record + sizeof(block), sizeof(CoreId));
+      tags_[base + way] = block;
+      line_record += kLiveRecordBytes;
+      on_live(set, way, block);
+    }
+  }
+  BACP_ASSERT(consumed == live, "snapshot live line count mismatch");
+}
 
 }  // namespace bacp::cache

@@ -187,8 +187,8 @@ void MoesiDirectory::save_state(snapshot::Writer& writer) const {
 
 void MoesiDirectory::restore_state(snapshot::Reader& reader) {
   BACP_ASSERT(reader.u32() == num_cores_, "snapshot num_cores mismatch");
-  // clear() keeps capacity (System reserved the maximum L1 line count), so
-  // reinserting never grows the table.
+  // clear() is O(1) and keeps capacity (System reserved the maximum L1 line
+  // count), so reinserting never grows the table.
   entries_.clear();
   const std::uint64_t entry_count = reader.u64();
   for (std::uint64_t i = 0; i < entry_count; ++i) {

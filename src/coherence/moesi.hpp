@@ -95,7 +95,7 @@ class MoesiDirectory {
   /// dropped (the table's slab is kept — no reallocation) and statistics
   /// zeroed. Snapshot bytes after reset match a fresh directory's.
   void reset_in_place() {
-    entries_.clear();
+    entries_.clear();  // O(1): a generation bump
     clear_stats();
   }
 
@@ -111,22 +111,31 @@ class MoesiDirectory {
   friend struct DirectoryTestPeer;
 
   /// Byte-wide owner id keeps Entry at 6 bytes so a directory hash slot
-  /// (block + Entry + occupied flag) packs into 16 — four slots per cache
-  /// line on a table that spans every L1-resident block.
+  /// (block + Entry + generation stamp) packs into 16 — four slots per
+  /// cache line on a table that spans every L1-resident block. 2-byte
+  /// packing drops the tail padding a 4-byte-aligned Entry would carry
+  /// (8 bytes, and a 24-byte slot); every field is still read by value.
   static constexpr std::uint8_t kNoOwner = 0xFF;
 
+#pragma pack(push, 2)
   struct Entry {
     CoreMask sharers = 0;
     std::uint8_t owner = kNoOwner;         ///< core in E/O/M, if any
     MoesiState owner_state = MoesiState::Invalid;
   };
+#pragma pack(pop)
 
+ public:
+  /// The directory's table type; public so tests can pin its 16-byte slots.
+  using EntryIndex = common::FlatHash64<Entry>;
+
+ private:
   // NOLINTNEXTLINE(bacp-reset-fields): immutable geometry echo; pinned at construction, never rewound
   std::uint32_t num_cores_;
   // Open-addressing table: directory entries come and go on every L1
   // fill/evict, and std::unordered_map's node allocation churn on that path
   // was one of the hottest costs in the whole simulator.
-  common::FlatHash64<Entry> entries_;
+  EntryIndex entries_;
   CoherenceStats stats_;
 };
 

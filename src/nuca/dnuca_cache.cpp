@@ -1,6 +1,7 @@
 #include "nuca/dnuca_cache.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <numeric>
 
@@ -89,8 +90,13 @@ void DnucaCache::rebuild_view_positions() {
   for (CoreId core = 0; core < views_.size(); ++core) {
     const auto& view = views_[core];
     for (std::size_t i = 0; i < view.size(); ++i) {
-      view_pos_[std::size_t{core} * config_.geometry.num_banks + view[i]] =
-          static_cast<std::uint32_t>(i);
+      // Views arrive from plans and from snapshots: check them before they
+      // index the position table.
+      BACP_ASSERT(view[i] < config_.geometry.num_banks, "view names a bank out of range");
+      std::uint32_t& position =
+          view_pos_[std::size_t{core} * config_.geometry.num_banks + view[i]];
+      BACP_ASSERT(position == kNotInView, "view names a bank twice");
+      position = static_cast<std::uint32_t>(i);
     }
   }
 }
@@ -454,7 +460,8 @@ void DnucaCache::reset_in_place() {
   }
   rebuild_view_positions();
   std::fill(round_robin_.begin(), round_robin_.end(), 0);
-  // FlatHash64::clear() keeps the slab; the index is never serialized.
+  // FlatHash64::clear() is O(1) and keeps the slab; the index is never
+  // serialized.
   residency_.clear();
   clear_stats();
   std::fill(batch_miss_scratch_.begin(), batch_miss_scratch_.end(), 0);
@@ -493,19 +500,30 @@ void DnucaCache::save_state(snapshot::Writer& writer) const {
 void DnucaCache::restore_state(snapshot::Reader& reader) {
   BACP_ASSERT(reader.u32() == config_.geometry.num_banks, "snapshot num_banks mismatch");
   BACP_ASSERT(reader.u32() == config_.geometry.num_cores, "snapshot num_cores mismatch");
-  for (auto& bank : banks_) bank.restore_state(reader);
-  for (auto& view : views_) view = reader.scalars<BankId>();
-  reader.scalars_into(std::span<std::size_t>(round_robin_));
-  // The residency index is derived state: every valid line of every bank
-  // is exactly one entry. clear() keeps capacity (the ctor reserved the
-  // maximum possible line count), so the rebuild never grows the table.
+  // The residency index is derived state, fed straight from each bank's
+  // decode: every restored valid line is exactly one entry, and a block
+  // resides in at most one bank, so the keys are distinct. clear() is O(1)
+  // and keeps the slab the ctor reserved for the maximum line count, so the
+  // load never grows the table; staging a batch lets insert_distinct()
+  // prefetch the slab lines ahead of the inserts.
   residency_.clear();
+  std::array<BlockAddress, kMaxBatch> keys{};
+  std::array<Location, kMaxBatch> locations{};
+  std::uint32_t staged = 0;
   for (BankId id = 0; id < banks_.size(); ++id) {
-    banks_[id].for_each_valid([&](std::uint32_t, WayIndex way, BlockAddress block) {
-      residency_.insert_or_assign(block, Location{static_cast<std::uint16_t>(id),
-                                                  static_cast<std::uint16_t>(way)});
+    banks_[id].restore_state(reader, [&](std::uint32_t, WayIndex way, BlockAddress block) {
+      keys[staged] = block;
+      locations[staged] =
+          Location{static_cast<std::uint16_t>(id), static_cast<std::uint16_t>(way)};
+      if (++staged == kMaxBatch) {
+        residency_.insert_distinct(keys.data(), locations.data(), staged);
+        staged = 0;
+      }
     });
   }
+  residency_.insert_distinct(keys.data(), locations.data(), staged);
+  for (auto& view : views_) reader.assign_scalars(view);
+  reader.scalars_into(std::span<std::size_t>(round_robin_));
   reader.scalars_into(std::span<std::uint64_t>(stats_.hits));
   reader.scalars_into(std::span<std::uint64_t>(stats_.misses));
   stats_.promotions = reader.u64();

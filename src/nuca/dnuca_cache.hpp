@@ -164,8 +164,10 @@ class DnucaCache {
 
   /// Serializes all banks, the partition views, the fill cursors and
   /// statistics. The residency index is not written: restore asserts the
-  /// geometry echo matches and rebuilds the index from the banks' valid
-  /// lines (bank, set, way -> block).
+  /// geometry echo matches and derives the index in the banks' decode pass,
+  /// one entry per restored valid line (bank, way <- block), so no second
+  /// walk over the banks follows. Restored views are checked (every bank id
+  /// in range, none twice) before they index the position table.
   void save_state(snapshot::Writer& writer) const;
   void restore_state(snapshot::Reader& reader);
 
@@ -182,14 +184,19 @@ class DnucaCache {
   /// path that installs or removes a line updates the index, and a line's
   /// way never changes while it stays resident — so hits, writebacks and
   /// migrations skip the bank's tag scan entirely. Half-width fields keep
-  /// a residency hash slot (key + Location) at 16 bytes, four per cache
-  /// line — the table is tens of megabytes, so probe misses dominate the
-  /// lookup cost (the ctor asserts the geometry fits).
+  /// a residency hash slot (key + Location + generation stamp) at 16
+  /// bytes, four per cache line — the table is megabytes, so probe misses
+  /// dominate the lookup cost (the ctor asserts the geometry fits).
   struct Location {
     std::uint16_t bank = 0;
     std::uint16_t way = 0;
   };
 
+ public:
+  /// The residency index type; public so tests can pin its 16-byte slots.
+  using ResidencyIndex = common::FlatHash64<Location>;
+
+ private:
   /// access() with the residency lookup already done: `located` is the
   /// line's exact Location, or nullptr for "not resident". Everything
   /// downstream of the lookup (accounting, NoC timing, fills, stats) is
@@ -227,8 +234,10 @@ class DnucaCache {
   // NOLINTNEXTLINE(bacp-snapshot-fields): derived index over views_; rebuilt by rebuild_view_positions() on restore
   std::vector<std::uint32_t> view_pos_;         // core x bank -> index in view
   std::vector<std::size_t> round_robin_;        // per core: Parallel fill cursor
+  // Cleared in O(1) (generation bump) by restore and reset_in_place, then
+  // refilled from the banks' decode pass on restore.
   // NOLINTNEXTLINE(bacp-snapshot-fields): derived from bank tags; rebuilt by restore_state
-  common::FlatHash64<Location> residency_;      // block -> unique holding bank+way
+  ResidencyIndex residency_;                    // block -> unique holding bank+way
   DnucaStats stats_;
   // access_batch scratch (sized at construction; the batch path allocates
   // nothing): per-core count of round-robin cursor consumers so far within

@@ -51,6 +51,15 @@ class Writer {
     raw(values.data(), values.size() * sizeof(T));
   }
 
+  /// Appends `count` bytes for the caller to fill in place — for packed
+  /// records whose layout the caller owns. The span is invalidated by the
+  /// next write.
+  std::span<std::uint8_t> bytes(std::size_t count) {
+    const std::size_t offset = out_->size();
+    out_->resize(offset + count);
+    return {out_->data() + offset, count};
+  }
+
   /// Length-prefixed UTF-8 string.
   void str(std::string_view value) {
     u64(value.size());
@@ -113,6 +122,25 @@ class Reader {
     return values;
   }
 
+  /// Reads a scalar array of stored length into `values`, reusing its
+  /// capacity (restore paths that must not allocate per call).
+  template <CodecScalar T>
+  void assign_scalars(std::vector<T>& values) {
+    const std::uint64_t count = u64();
+    BACP_ASSERT(count <= remaining() / sizeof(T), "snapshot array overruns section");
+    values.resize(static_cast<std::size_t>(count));
+    raw(values.data(), values.size() * sizeof(T));
+  }
+
+  /// Borrows the next `count` bytes of the section (packed records the
+  /// caller decodes itself; no copy).
+  std::span<const std::uint8_t> bytes(std::size_t count) {
+    BACP_ASSERT(count <= remaining(), "snapshot section underrun");
+    const std::span<const std::uint8_t> run = bytes_.subspan(cursor_, count);
+    cursor_ += count;
+    return run;
+  }
+
   std::string str() {
     const std::uint64_t count = u64();
     BACP_ASSERT(count <= remaining(), "snapshot string overruns section");
@@ -134,6 +162,7 @@ class Reader {
 
   void raw(void* data, std::size_t bytes) {
     BACP_ASSERT(bytes <= remaining(), "snapshot section underrun");
+    if (bytes == 0) return;  // empty destinations may carry a null pointer
     std::memcpy(data, bytes_.data() + cursor_, bytes);
     cursor_ += bytes;
   }

@@ -40,9 +40,12 @@ inline constexpr std::uint64_t kMagic = 0x50414E5350434142ull;  // "BACPSNAP"
 // v3: trace generators write only their live recency windows, and the L2
 // no longer writes its residency index (restore derives it from the banks'
 // valid tags), which shrinks a default-shape snapshot about 4x.
+// v4: every SetAssocCache (L2 banks and L1s) writes per-set masks and
+// recency order plus a {tag, allocator} record for valid ways only — dead
+// ways are not state — which halves a default-shape snapshot again.
 // Banked snapshots of an older version fail the version check and rewarm —
 // the bank is a cache, so a version bump costs time, never correctness.
-inline constexpr std::uint32_t kVersion = 3;
+inline constexpr std::uint32_t kVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 24;
 inline constexpr std::size_t kTableEntryBytes = 32;
 inline constexpr std::size_t kMaxSections = 16;
@@ -51,7 +54,8 @@ inline constexpr std::size_t kMaxSections = 16;
 /// (host-order words, byte-serial tail). A snapshot is checksummed once on
 /// save (SnapshotBuilder::finish), once on bank load (audit_snapshot) and
 /// once more on restore (the SnapshotView constructor), so checksum cost
-/// scales with snapshot bytes on every sampled trial. The word variant
+/// scales with snapshot bytes on every sampled trial — which is why each
+/// format version writes only live state. The word variant
 /// keeps FNV-1a's mixing structure at 8x fewer multiplies than the
 /// byte-serial chain; it is format-internal (not FNV-compatible), which
 /// kVersion >= 2 records.

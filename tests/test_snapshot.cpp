@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include "common/thread_pool.hpp"
 #include "harness/experiments.hpp"
 #include "harness/snapshot_cache.hpp"
+#include "harness/system_pool.hpp"
 #include "sim/system.hpp"
 #include "sim/system_config.hpp"
 #include "snapshot/codec.hpp"
@@ -390,6 +392,195 @@ TEST(SystemSnapshot, RestoreDerivesResidencyFromBankTags) {
 }
 
 // ---------------------------------------------------------------------------
+// Live-line cache sections (format v4)
+// ---------------------------------------------------------------------------
+
+/// Byte offsets of one SetAssocCache image inside a saved section, read back
+/// through the public codec: geometry echo, way masks, statistics, the
+/// live-line count, per-set {valid, dirty, recency order} records, then one
+/// {tag u64, allocator u32} record per valid way.
+struct CacheImage {
+  std::uint32_t ways = 0;
+  std::size_t mask_bytes = 0;
+  std::size_t record_bytes = 0;  ///< bytes per set record
+  std::size_t live_offset = 0;   ///< the live-line count
+  std::size_t sets_offset = 0;   ///< set 0's record
+  std::size_t lines_offset = 0;  ///< the first live-line record
+  std::size_t end = 0;           ///< one past the image
+};
+
+CacheImage cache_image(std::span<const std::uint8_t> section, std::size_t offset) {
+  snapshot::Reader reader(section.subspan(offset));
+  CacheImage image;
+  const std::uint32_t num_sets = reader.u32();
+  image.ways = reader.u32();
+  (void)reader.u32();  // num_cores
+  image.mask_bytes = (image.ways + 7) / 8;
+  image.record_bytes = 2 * image.mask_bytes + image.ways;
+  (void)reader.scalars<CoreMask>();  // way masks
+  for (int counter = 0; counter < 3; ++counter) (void)reader.scalars<std::uint64_t>();
+  image.live_offset = section.size() - reader.remaining();
+  const std::uint64_t live = reader.u64();
+  image.sets_offset = section.size() - reader.remaining();
+  (void)reader.bytes(num_sets * image.record_bytes);
+  image.lines_offset = section.size() - reader.remaining();
+  (void)reader.bytes(live * (sizeof(BlockAddress) + sizeof(CoreId)));
+  image.end = section.size() - reader.remaining();
+  return image;
+}
+
+/// Offset of core 0's partition view (its u64 length) in an L2 section:
+/// the num_banks and num_cores echo, every bank image, then the views.
+std::size_t l2_views_offset(std::span<const std::uint8_t> section, std::uint32_t num_banks) {
+  std::size_t offset = 2 * sizeof(std::uint32_t);
+  for (std::uint32_t bank = 0; bank < num_banks; ++bank) {
+    offset = cache_image(section, offset).end;
+  }
+  return offset;
+}
+
+// v4 writes valid ways only, so restore leaves every dead way's tag as the
+// target System held it. Here the target is a pooled System that already
+// ran another trial, was rewound for this mix (reset_in_place clears valid
+// bits, not tags) and then ran further than the snapshot: restoring
+// straight over that live state must be indistinguishable from a fresh
+// restore, and every dead way must read as empty to the audits.
+TEST(CacheSnapshot, PooledDeadWaysWithForeignTagsDoNotLeakThroughRestore) {
+  const auto config = fast_config(sim::PolicyKind::BankAware);
+  const auto mix = capacity_diverse_mix();
+  sim::System original(config, mix);
+  original.warm_up(200'000);
+  const auto snapshot = original.save_state();
+
+  harness::SystemPool pool;
+  {
+    auto previous = pool.acquire(
+        config, trace::mix_from_names(
+                    {"art", "mcf", "gzip", "eon", "facerec", "gcc", "sixtrack", "bzip2"}));
+    previous->warm_up(300'000);
+    previous->run(300'000);
+  }
+  auto pooled = pool.acquire(config, mix);
+  ASSERT_TRUE(pooled.pooled_hit());
+  pooled->reset_in_place(mix);
+  pooled->warm_up(700'000);
+
+  // Mark the L2 ways that hold live lines before the restore.
+  const std::uint32_t num_banks = config.geometry.num_banks;
+  const std::size_t bank_lines =
+      std::size_t{pooled->l2().bank(0).config().num_sets} * config.geometry.ways_per_bank;
+  std::vector<std::uint8_t> held(num_banks * bank_lines, 0);
+  for (BankId bank = 0; bank < num_banks; ++bank) {
+    pooled->l2().bank(bank).for_each_valid([&](std::uint32_t set, WayIndex way, BlockAddress) {
+      held[bank * bank_lines + set * config.geometry.ways_per_bank + way] = 1;
+    });
+  }
+  pooled->restore_state(snapshot);
+  for (BankId bank = 0; bank < num_banks; ++bank) {
+    pooled->l2().bank(bank).for_each_valid([&](std::uint32_t set, WayIndex way, BlockAddress) {
+      held[bank * bank_lines + set * config.geometry.ways_per_bank + way] = 0;
+    });
+  }
+  // Ways that held a line the snapshot leaves dead: their stale tags and
+  // allocators are exactly what a dead-way leak would expose.
+  EXPECT_GT(std::count(held.begin(), held.end(), std::uint8_t{1}), 0);
+
+  const auto nuca_report = audit::audit_nuca(pooled->l2());
+  EXPECT_TRUE(nuca_report.ok()) << nuca_report.to_string();
+  for (CoreId core = 0; core < config.geometry.num_cores; ++core) {
+    const auto l1_report = audit::audit_cache(pooled->l1(core));
+    EXPECT_TRUE(l1_report.ok()) << l1_report.to_string();
+  }
+  EXPECT_EQ(pooled->save_state().bytes, snapshot.bytes);
+
+  sim::System fresh(config, mix);
+  fresh.restore_state(snapshot);
+  pooled->run(500'000);
+  fresh.run(500'000);
+  EXPECT_EQ(pooled->results().to_json().dump(), fresh.results().to_json().dump());
+  pooled->reset_measurement();
+  fresh.reset_measurement();
+  EXPECT_EQ(pooled->save_state().bytes, fresh.save_state().bytes);
+}
+
+TEST(CacheSnapshotDeathTest, RestoreRejectsImpossibleLineShapes) {
+  const auto config = fast_config(sim::PolicyKind::BankAware);
+  const auto mix = capacity_diverse_mix();
+  sim::System original(config, mix);
+  original.warm_up(100'000);
+  const auto snapshot = original.save_state();
+  constexpr std::size_t kBank0 = 2 * sizeof(std::uint32_t);
+  sim::System target(config, mix);
+
+  auto miscounted = snapshot;
+  edit_section(miscounted, snapshot::SectionId::L2, [](std::span<std::uint8_t> l2) {
+    const CacheImage bank0 = cache_image(l2, kBank0);
+    std::uint64_t live = 0;
+    std::memcpy(&live, l2.data() + bank0.live_offset, sizeof(live));
+    ++live;
+    std::memcpy(l2.data() + bank0.live_offset, &live, sizeof(live));
+  });
+  EXPECT_TRUE(audit::audit_snapshot(miscounted).ok());
+  EXPECT_DEATH(target.restore_state(miscounted), "live line count");
+
+  auto dirty_dead = snapshot;
+  edit_section(dirty_dead, snapshot::SectionId::L2, [](std::span<std::uint8_t> l2) {
+    const CacheImage bank0 = cache_image(l2, kBank0);
+    ASSERT_EQ(bank0.mask_bytes, 1u);
+    const std::uint8_t all_ways = static_cast<std::uint8_t>((1u << bank0.ways) - 1);
+    for (std::size_t at = bank0.sets_offset; at < bank0.lines_offset; at += bank0.record_bytes) {
+      const std::uint8_t dead = static_cast<std::uint8_t>(~l2[at] & all_ways);
+      if (dead == 0) continue;
+      l2[at + 1] = static_cast<std::uint8_t>(l2[at + 1] | (dead & -dead));
+      return;
+    }
+    FAIL() << "bank 0 has no set with a dead way";
+  });
+  EXPECT_TRUE(audit::audit_snapshot(dirty_dead).ok());
+  EXPECT_DEATH(target.restore_state(dirty_dead), "dirty bit on an invalid way");
+
+  // L1s are 2-way, so their one-byte masks can name a way past the last.
+  auto phantom_way = snapshot;
+  edit_section(phantom_way, snapshot::SectionId::L1, [](std::span<std::uint8_t> l1) {
+    const CacheImage core0 = cache_image(l1, 0);
+    ASSERT_LT(core0.ways, 8u);
+    l1[core0.sets_offset] = static_cast<std::uint8_t>(l1[core0.sets_offset] | (1u << core0.ways));
+  });
+  EXPECT_TRUE(audit::audit_snapshot(phantom_way).ok());
+  EXPECT_DEATH(target.restore_state(phantom_way), "valid bit beyond the way count");
+}
+
+TEST(NucaSnapshotDeathTest, RestoreRejectsImpossibleViews) {
+  const auto config = fast_config(sim::PolicyKind::NoPartition);
+  const auto mix = capacity_diverse_mix();
+  sim::System original(config, mix);
+  original.warm_up(100'000);
+  const auto snapshot = original.save_state();
+  const std::uint32_t num_banks = config.geometry.num_banks;
+  sim::System target(config, mix);
+
+  auto out_of_range = snapshot;
+  edit_section(out_of_range, snapshot::SectionId::L2, [&](std::span<std::uint8_t> l2) {
+    const std::size_t view = l2_views_offset(l2, num_banks);
+    std::memcpy(l2.data() + view + sizeof(std::uint64_t), &num_banks, sizeof(BankId));
+  });
+  EXPECT_TRUE(audit::audit_snapshot(out_of_range).ok());
+  EXPECT_DEATH(target.restore_state(out_of_range), "view names a bank out of range");
+
+  auto repeated = snapshot;
+  edit_section(repeated, snapshot::SectionId::L2, [&](std::span<std::uint8_t> l2) {
+    const std::size_t view = l2_views_offset(l2, num_banks);
+    std::uint64_t length = 0;
+    std::memcpy(&length, l2.data() + view, sizeof(length));
+    ASSERT_GE(length, 2u);
+    std::uint8_t* first = l2.data() + view + sizeof(std::uint64_t);
+    std::memcpy(first + sizeof(BankId), first, sizeof(BankId));
+  });
+  EXPECT_TRUE(audit::audit_snapshot(repeated).ok());
+  EXPECT_DEATH(target.restore_state(repeated), "view names a bank twice");
+}
+
+// ---------------------------------------------------------------------------
 // Warm-state fingerprint
 // ---------------------------------------------------------------------------
 
@@ -633,12 +824,12 @@ TEST(SnapshotCache, StaleVersionBankEntryRewarmsAndRepublishes) {
   ASSERT_FALSE(cold_path.empty());
   const auto published = read_file(cold_path);
 
-  // The same key in the stale bank holds a version-2 file.
+  // The same key in the stale bank holds a file stamped with the previous
+  // format version — the skew every format bump actually produces.
   const std::string stale_path =
       stale_dir + "/" + std::filesystem::path(cold_path).filename().string();
   auto stale_bytes = published;
-  const std::uint32_t old_version = 2;
-  ASSERT_LT(old_version, snapshot::kVersion);
+  const std::uint32_t old_version = snapshot::kVersion - 1;
   std::memcpy(stale_bytes.data() + 8, &old_version, sizeof(old_version));
   {
     std::ofstream out(stale_path, std::ios::binary);
