@@ -71,21 +71,11 @@ class FlatHash64 {
     return slot == kNotFound ? nullptr : &slots_[slot].value;
   }
 
-  /// Issues a read prefetch for `key`'s probe line. The batched access
-  /// pipeline resolves probe addresses a whole batch ahead of the lookups,
-  /// so the table's (cold, multi-MB) slot array misses overlap instead of
-  /// serializing — the mutating find() that follows still decides.
+  /// Issues a read prefetch for `key`'s probe line. Callers that know
+  /// their next keys resolve the probe addresses ahead of the lookups, so
+  /// the table's (cold, multi-MB) slot array misses overlap instead of
+  /// serializing — the find() that follows still decides.
   void prefetch(Key key) const { simd::prefetch_read(&slots_[ideal_slot(key)]); }
-
-  /// Batched lookup: out[i] = find(keys[i]) for each of the `count` keys.
-  /// Same probe sequence and results as find(); pointers obey the same
-  /// invalidation rule.
-  void find_batch(const Key* keys, std::uint32_t count, Value** out) {
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::size_t slot = find_slot(keys[i]);
-      out[i] = slot == kNotFound ? nullptr : &slots_[slot].value;
-    }
-  }
 
   /// Returns the value for `key`, default-constructing it if absent (the
   /// `operator[]` idiom).
@@ -239,8 +229,8 @@ class FlatHash64 {
   }
 
   // Hugepage-advised storage: the table is the large random-access
-  // structure on the access path, and TLB-resident probes are what let the
-  // pipeline's prefetches issue at all (see HugePageAlloc).
+  // structure on the access path, and TLB-resident probes are what let its
+  // prefetches issue at all (see HugePageAlloc).
   std::vector<Slot, HugePageAlloc<Slot>> slots_;
   std::size_t mask_ = 0;
   std::uint32_t shift_ = 64;

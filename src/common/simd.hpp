@@ -102,21 +102,13 @@ inline void miss_counts(const double* const* prefixes, const std::uint32_t* size
   }
 }
 
-/// Software prefetch hints (no-ops where unsupported). The batched access
-/// pipeline's main lever: the DNUCA residency table is tens of megabytes,
-/// so resolving its probe addresses a whole batch ahead turns dependent
-/// cache misses into overlapped ones.
+/// Software read-prefetch hint (a no-op where unsupported). The DNUCA
+/// residency table is megabytes, so sim::System prefetches the probe lines
+/// of each core's next buffered accesses, turning dependent cache misses
+/// into overlapped ones.
 inline void prefetch_read(const void* address) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(address, 0, 3);
-#else
-  (void)address;
-#endif
-}
-
-inline void prefetch_write(const void* address) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(address, 1, 3);
 #else
   (void)address;
 #endif

@@ -145,7 +145,6 @@ std::uint64_t SnapshotCache::file_hits() const {
 std::vector<std::pair<std::string, std::string>> VariantSweepOptions::cli_flags() {
   return {
       value_flag(kThreadsKnob),
-      value_flag(kBatchKnob),
       value_flag(kSnapshotBankKnob),
       bool_flag("no-snapshot-reuse", "warm every run cold instead of forking snapshots"),
       bool_flag("shared-warmup", "one policy-neutral warm-up per mix (changes results)"),
@@ -155,8 +154,6 @@ std::vector<std::pair<std::string, std::string>> VariantSweepOptions::cli_flags(
 VariantSweepOptions VariantSweepOptions::from_args(const common::ArgParser& parser) {
   VariantSweepOptions options;
   options.num_threads = read_threads(parser, options.num_threads);
-  options.batch_size =
-      static_cast<std::uint32_t>(read_u64(parser, kBatchKnob, options.batch_size));
   options.snapshot_reuse = !parser.get_bool_or_fail("no-snapshot-reuse", false);
   options.shared_warmup = parser.get_bool_or_fail("shared-warmup", false);
   options.snapshot_bank = read_string(parser, kSnapshotBankKnob, options.snapshot_bank);
@@ -221,7 +218,6 @@ void run_variant_sweep(std::span<const SweepVariant> variants,
     SystemPool::Lease lease = system_pool.acquire(variant.config, mix);
     if (lease.pooled_hit()) lease->reset_in_place(mix);
     sim::System& system = *lease;
-    if (options.batch_size != 0) system.set_batch_size(options.batch_size);
     warm_system(system, mix, variant.warmup_instructions, cache_ptr,
                 options.shared_warmup);
     body(system, index);

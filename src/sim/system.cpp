@@ -13,13 +13,47 @@
 #endif
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
 #include "common/stats.hpp"
 #include "partition/bank_aware.hpp"
 #include "partition/static_policies.hpp"
 #include "trace/spec2000.hpp"
 
 namespace bacp::sim {
+
+namespace {
+
+struct QueueEntry {
+  Cycle issue_at;
+  CoreId core;
+  bool operator>(const QueueEntry& other) const { return issue_at > other.issue_at; }
+};
+
+trace::GeneratorConfig generator_config(const SystemConfig& config, CoreId core) {
+  trace::GeneratorConfig generator;
+  generator.num_sets = config.sets_per_bank;
+  generator.max_depth = config.geometry.total_ways();
+  generator.core = core;
+  return generator;
+}
+
+/// The core timer for `model` on slot `core`; the gap model follows the
+/// workload, and `stream_salt` decorrelates the jitter stream of a slot
+/// rebound by reset_core() (0 at construction).
+core::CoreTimerConfig timer_config(const SystemConfig& config, CoreId core,
+                                   const trace::WorkloadModel& model,
+                                   std::uint64_t stream_salt) {
+  core::CoreTimerConfig timer;
+  timer.base_cpi = model.base_cpi;
+  timer.instructions_per_l2_access = 1000.0 / model.l2_apki;
+  timer.mlp_window = std::clamp<std::uint32_t>(
+      static_cast<std::uint32_t>(std::lround(model.mlp)), 1, config.mshr.entries_per_core);
+  timer.gap_jitter = config.gap_jitter;
+  timer.seed = (config.seed ^ 0x5175ULL) ^ stream_salt;
+  timer.core = core;
+  return timer;
+}
+
+}  // namespace
 
 double CoreResult::l2_miss_ratio() const {
   const std::uint64_t accesses = l2_accesses();
@@ -143,33 +177,14 @@ System::System(const SystemConfig& config, const trace::WorkloadMix& mix)
     l1_config.num_cores = 1;
     l1_.emplace_back(l1_config);
 
-    trace::GeneratorConfig generator_config;
-    generator_config.num_sets = config_.sets_per_bank;
-    generator_config.max_depth = config_.geometry.total_ways();
-    generator_config.core = core;
     generators_.push_back(std::make_unique<trace::SyntheticTraceGenerator>(
-        model, generator_config, config_.seed));
-
+        model, generator_config(config_, core), config_.seed));
     profilers_.push_back(std::make_unique<msa::StackProfiler>(config_.profiler));
-
-    core::CoreTimerConfig timer_config;
-    timer_config.base_cpi = model.base_cpi;
-    timer_config.instructions_per_l2_access = 1000.0 / model.l2_apki;
-    timer_config.mlp_window = std::clamp<std::uint32_t>(
-        static_cast<std::uint32_t>(std::lround(model.mlp)), 1,
-        config_.mshr.entries_per_core);
-    timer_config.gap_jitter = config_.gap_jitter;
-    timer_config.seed = config_.seed ^ 0x5175ULL;
-    timer_config.core = core;
-    timers_.push_back(std::make_unique<core::CoreTimer>(timer_config));
+    timers_.push_back(
+        std::make_unique<core::CoreTimer>(timer_config(config_, core, model, 0)));
   }
 
   streams_.resize(config_.geometry.num_cores);
-  // Batch depth is a speed dial, never a behavior knob (see
-  // set_batch_size); the env default reaches every driver, including ones
-  // that build systems internally.
-  set_batch_size(static_cast<std::uint32_t>(
-      common::env_u64("BACP_BATCH", kDefaultBatchSize)));
 
   snapshots_.assign(config_.geometry.num_cores, CoreSnapshot{});
   last_epoch_instructions_.assign(config_.geometry.num_cores, 0.0);
@@ -197,26 +212,7 @@ void System::reset_in_place(const trace::WorkloadMix& mix) {
     l1_[core].reset_in_place();
     generators_[core]->reset_in_place(model, config_.seed);
     profilers_[core]->reset_in_place();
-
-    // Same derivation as the constructor: the timer's gap model follows the
-    // slot's new workload.
-    core::CoreTimerConfig timer_config;
-    timer_config.base_cpi = model.base_cpi;
-    timer_config.instructions_per_l2_access = 1000.0 / model.l2_apki;
-    timer_config.mlp_window = std::clamp<std::uint32_t>(
-        static_cast<std::uint32_t>(std::lround(model.mlp)), 1,
-        config_.mshr.entries_per_core);
-    timer_config.gap_jitter = config_.gap_jitter;
-    timer_config.seed = config_.seed ^ 0x5175ULL;
-    timer_config.core = core;
-    timers_[core]->reset_in_place(timer_config);
-  }
-  // Streams were flushed above; batch_size_ is an execution knob and
-  // deliberately survives the reset (like thread counts, it never affects
-  // results).
-  for (auto& stream : streams_) {
-    stream.batch.size = 0;
-    stream.cursor = 0;
+    timers_[core]->reset_in_place(timer_config(config_, core, model, 0));
   }
 
   allocation_history_.clear();
@@ -390,18 +386,17 @@ void System::reset_epoch_tracking() {
   epoch_baseline_.noc_queue_cycles = noc_.stats().total_queue_cycles;
 }
 
-void System::set_batch_size(std::uint32_t batch) {
-  batch_size_ = std::clamp<std::uint32_t>(batch, 1, trace::AccessBatch::kMaxSize);
-}
+static_assert(System::kBatchSize >= 1 && System::kBatchSize <= trace::AccessBatch::kMaxSize,
+              "the stream-buffer depth must fit one AccessBatch");
 
 trace::MemoryAccess System::next_access(CoreId core) {
   CoreStream& stream = streams_[core];
   if (stream.cursor >= stream.batch.size) {
-    generators_[core]->next_batch(stream.batch, batch_size_);
+    generators_[core]->next_batch(stream.batch, kBatchSize);
     stream.cursor = 0;
-    // Front-half lookahead over the fresh batch: the L2 residency probes
-    // walk a multi-megabyte table, so a handful of prefetches here turns
-    // the upcoming dependent misses into overlapped ones.
+    // Lookahead over the fresh batch: the L2 residency probes walk a
+    // multi-megabyte table, so a handful of prefetches here turns the
+    // upcoming dependent misses into overlapped ones.
     const std::uint32_t lookahead = std::min<std::uint32_t>(8, stream.batch.size);
     for (std::uint32_t i = 0; i < lookahead; ++i) {
       l2_->prefetch(stream.batch.accesses[i].block);
@@ -484,28 +479,26 @@ Cycle System::serve_access(CoreId core, Cycle issue_time) {
   return data_ready;
 }
 
-void System::execute(std::uint64_t instructions_per_core) {
-  struct QueueEntry {
-    Cycle issue_at;
-    CoreId core;
-    bool operator>(const QueueEntry& other) const { return issue_at > other.issue_at; }
-  };
+void System::simulate(Until until, std::uint64_t count) {
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue;
+  const bool quota_run = until != Until::Epochs;
   // Equal instruction slices (the paper's methodology): each core's access
   // quota follows its APKI, so per-policy total miss counts weight each
   // workload by its real memory intensity. Quotas follow the *currently
   // bound* workload (reset_core() may have replaced the construction mix).
-  // Inactive slots get no quota and never enter the queue.
+  // Inactive slots get no quota and never enter the queue. An epoch run has
+  // no quotas; `left` counts boundaries instead of unfinished cores.
   const auto& suite = trace::spec2000_suite();
   std::vector<std::uint64_t> remaining(config_.geometry.num_cores, 0);
-  std::uint32_t unfinished = 0;
+  std::uint64_t left = quota_run ? 0 : count;
   for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
     if (active_[core] == 0) continue;
-    const double apki = suite.at(bound_workloads_[core]).l2_apki;
-    remaining[core] = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(static_cast<double>(instructions_per_core) *
-                                      apki / 1000.0));
-    ++unfinished;
+    if (quota_run) {
+      const double apki = suite.at(bound_workloads_[core]).l2_apki;
+      remaining[core] = std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(static_cast<double>(count) * apki / 1000.0));
+      ++left;
+    }
     queue.push({timers_[core]->peek_issue(), core});
   }
 
@@ -514,17 +507,19 @@ void System::execute(std::uint64_t instructions_per_core) {
   // core completes its quota — a fast core finishing early and going quiet
   // would both starve its own profile of samples and unrealistically
   // relieve its co-runners of interference for the tail of the run.
-  // Per-core statistics snapshot at quota completion, so reported counts
-  // always cover exactly `l2_accesses_per_core` accesses per core.
-  while (unfinished > 0) {
-    const auto entry = queue.top();
+  // Per-core statistics freeze at quota completion in measured runs, so
+  // reported counts always cover exactly `l2_accesses_per_core` accesses
+  // per core.
+  while (left > 0) {
     // Epoch boundaries fire in global time order, before any access that
-    // crosses them.
-    if (entry.issue_at >= next_epoch_) {
+    // crosses them; over an idle machine (epoch runs only) they still fire.
+    if (queue.empty() || queue.top().issue_at >= next_epoch_) {
       run_epoch_boundary();
       next_epoch_ += config_.epoch_cycles;
+      if (!quota_run) --left;
       continue;
     }
+    const auto entry = queue.top();
     queue.pop();
 
     const Cycle issue_time = timers_[entry.core]->advance_to_issue();
@@ -532,16 +527,21 @@ void System::execute(std::uint64_t instructions_per_core) {
     timers_[entry.core]->record_completion(done_at);
 
     if (remaining[entry.core] > 0 && --remaining[entry.core] == 0) {
-      snapshot_core(entry.core);
-      --unfinished;
+      if (until == Until::MeasuredQuotas) snapshot_core(entry.core);
+      --left;
     }
-    if (unfinished > 0) queue.push({timers_[entry.core]->peek_issue(), entry.core});
+    if (left > 0) queue.push({timers_[entry.core]->peek_issue(), entry.core});
   }
   // Rewind unconsumed batch suffixes before handing control back: outside
-  // execute, generators are always in their exact scalar state.
+  // simulate, generators are always in their exact scalar state.
   flush_streams();
-  for (auto& timer : timers_) timer->drain();
-  audit_checkpoint("end of run");
+  // Quota runs end drained. Epoch runs keep their in-flight windows across
+  // calls, so stepping one epoch at a time is the same trajectory as
+  // stepping them all at once; their last act was a boundary, which audits.
+  if (quota_run) {
+    for (auto& timer : timers_) timer->drain();
+    audit_checkpoint("end of run");
+  }
 }
 
 void System::snapshot_core(CoreId core) {
@@ -555,7 +555,7 @@ void System::snapshot_core(CoreId core) {
   snapshots_[core] = snapshot;
 }
 
-void System::clear_all_stats() {
+void System::reset_measurement() {
   l2_->clear_stats();
   dram_.clear_stats();
   noc_.clear_stats();
@@ -575,40 +575,19 @@ void System::switch_workload(CoreId core, std::string_view workload_name) {
 }
 
 void System::warm_up(std::uint64_t instructions_per_core) {
-  execute(instructions_per_core);
-  clear_all_stats();
+  simulate(Until::Quotas, instructions_per_core);
+  reset_measurement();
 }
 
-void System::step_epochs(std::uint64_t epochs) {
-  struct QueueEntry {
-    Cycle issue_at;
-    CoreId core;
-    bool operator>(const QueueEntry& other) const { return issue_at > other.issue_at; }
-  };
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue;
-  for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    if (active_[core] != 0) queue.push({timers_[core]->peek_issue(), core});
-  }
-  // No quotas and no end-of-run drain: the in-flight windows carry across
-  // calls, so stepping one epoch at a time is the same trajectory as
-  // stepping them all at once.
-  std::uint64_t fired = 0;
-  while (fired < epochs) {
-    if (queue.empty() || queue.top().issue_at >= next_epoch_) {
-      run_epoch_boundary();
-      next_epoch_ += config_.epoch_cycles;
-      ++fired;
-      continue;
-    }
-    const auto entry = queue.top();
-    queue.pop();
-    const Cycle issue_time = timers_[entry.core]->advance_to_issue();
-    const Cycle done_at = serve_access(entry.core, issue_time);
-    timers_[entry.core]->record_completion(done_at);
-    queue.push({timers_[entry.core]->peek_issue(), entry.core});
-  }
-  flush_streams();
+void System::run(std::uint64_t instructions_per_core) {
+  simulate(Until::MeasuredQuotas, instructions_per_core);
 }
+
+void System::fast_forward(std::uint64_t instructions_per_core) {
+  simulate(Until::Quotas, instructions_per_core);
+}
+
+void System::step_epochs(std::uint64_t epochs) { simulate(Until::Epochs, epochs); }
 
 void System::reset_core(CoreId core, std::string_view workload_name,
                         std::uint64_t stream_salt) {
@@ -634,23 +613,9 @@ void System::reset_core(CoreId core, std::string_view workload_name,
   // of the same workload in the session.
   flush_stream(core);  // defensive: drop any buffered departing-tenant accesses
   profilers_[core]->clear();
-  trace::GeneratorConfig generator_config;
-  generator_config.num_sets = config_.sets_per_bank;
-  generator_config.max_depth = config_.geometry.total_ways();
-  generator_config.core = core;
   generators_[core] = std::make_unique<trace::SyntheticTraceGenerator>(
-      model, generator_config, config_.seed ^ stream_salt);
-
-  core::CoreTimerConfig timer_config;
-  timer_config.base_cpi = model.base_cpi;
-  timer_config.instructions_per_l2_access = 1000.0 / model.l2_apki;
-  timer_config.mlp_window = std::clamp<std::uint32_t>(
-      static_cast<std::uint32_t>(std::lround(model.mlp)), 1,
-      config_.mshr.entries_per_core);
-  timer_config.gap_jitter = config_.gap_jitter;
-  timer_config.seed = (config_.seed ^ 0x5175ULL) ^ stream_salt;
-  timer_config.core = core;
-  timers_[core]->rebind(timer_config);
+      model, generator_config(config_, core), config_.seed ^ stream_salt);
+  timers_[core]->rebind(timer_config(config_, core, model, stream_salt));
 
   // Join at current global time (an idle slot's clock may be far behind),
   // and start the slot's measurement and profile windows here.
@@ -685,8 +650,6 @@ void System::install_partition(const partition::Allocation& allocation,
   allocation_history_.push_back(allocation);
   audit_checkpoint("install_partition");
 }
-
-void System::reset_measurement() { clear_all_stats(); }
 
 std::vector<System::CoreSample> System::sample_cores() const {
   std::vector<CoreSample> samples(config_.geometry.num_cores);
@@ -840,7 +803,7 @@ void System::restore_from(const snapshot::SnapshotView& view) {
   }
   // The saving system was statistics-clean (save_state asserts it), so the
   // derived tracking state rebuilds deterministically from component state —
-  // exactly what clear_all_stats() established on the saving side.
+  // exactly what reset_measurement() established on the saving side.
   snapshots_.assign(config_.geometry.num_cores, CoreSnapshot{});
   epochs_ = 0;
   reset_epoch_tracking();
@@ -878,69 +841,8 @@ void System::adopt_warm_state(const snapshot::SystemSnapshot& snapshot) {
   Cycle max_time = 0;
   for (const auto& timer : timers_) max_time = std::max(max_time, timer->time());
   next_epoch_ = (max_time / config_.epoch_cycles + 1) * config_.epoch_cycles;
-  clear_all_stats();
+  reset_measurement();
   audit_checkpoint("adopt_warm_state");
-}
-
-void System::run(std::uint64_t instructions_per_core) {
-  execute(instructions_per_core);
-}
-
-void System::fast_forward(std::uint64_t instructions_per_core) {
-  // Functional-and-timing warming for sampled runs: the same APKI-derived
-  // quotas, issue-time priority queue and CoreTimer issue/stall model as
-  // execute(), so the warmed trajectory — cache contents, DRAM channel
-  // horizon, core clocks, jitter RNG streams — is the one a detailed run
-  // would have produced. (An earlier stand-in that advanced core clocks by
-  // an un-jittered gap with an ad-hoc MLP emulation let memory-bound cores
-  // out-issue their detailed throttle; the DRAM busy-until horizon then
-  // raced ahead of wall-clock and dragged *every* core's clock to the
-  // slowest core's pace, poisoning the first detailed interval entered
-  // afterwards.) All that fast_forward skips is the per-core measurement
-  // snapshots; the end-of-run drain stays, so warming an interval leaves
-  // the system in exactly the state run() over the same span leaves it —
-  // a sampled interval's boundary state bit-matches the corresponding
-  // boundary of an every-interval detailed reference run.
-  struct QueueEntry {
-    Cycle issue_at;
-    CoreId core;
-    bool operator>(const QueueEntry& other) const { return issue_at > other.issue_at; }
-  };
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue;
-  const auto& suite = trace::spec2000_suite();
-  std::vector<std::uint64_t> remaining(config_.geometry.num_cores, 0);
-  std::uint32_t unfinished = 0;
-  for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
-    if (active_[core] == 0) continue;
-    const double apki = suite.at(bound_workloads_[core]).l2_apki;
-    remaining[core] = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(static_cast<double>(instructions_per_core) *
-                                      apki / 1000.0));
-    ++unfinished;
-    queue.push({timers_[core]->peek_issue(), core});
-  }
-
-  while (unfinished > 0) {
-    const auto entry = queue.top();
-    // Epoch boundaries fire in global time order here too, so the warming
-    // span sees the same adaptive repartitions a detailed run would.
-    if (entry.issue_at >= next_epoch_) {
-      run_epoch_boundary();
-      next_epoch_ += config_.epoch_cycles;
-      continue;
-    }
-    queue.pop();
-
-    const Cycle issue_time = timers_[entry.core]->advance_to_issue();
-    const Cycle done_at = serve_access(entry.core, issue_time);
-    timers_[entry.core]->record_completion(done_at);
-
-    if (remaining[entry.core] > 0 && --remaining[entry.core] == 0) --unfinished;
-    if (unfinished > 0) queue.push({timers_[entry.core]->peek_issue(), entry.core});
-  }
-  flush_streams();
-  for (auto& timer : timers_) timer->drain();
-  audit_checkpoint("fast_forward");
 }
 
 SystemResults System::results() const {

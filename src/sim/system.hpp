@@ -144,35 +144,23 @@ class System {
   /// memory-intensive cores contribute proportionally more L2 traffic.
   void warm_up(std::uint64_t instructions_per_core);
 
-  /// Default trace batch depth (see set_batch_size); chosen by the
-  /// bench_perf_throughput batch sweep.
-  static constexpr std::uint32_t kDefaultBatchSize = 64;
-
-  /// Sets how many accesses each core's generator produces per refill of
-  /// its batched stream buffer (clamped to [1, AccessBatch::kMaxSize]).
-  /// Purely a performance knob — unconsumed buffers are rewound at every
-  /// run boundary, so the simulated trajectory, statistics and snapshots
-  /// are bit-identical across batch sizes. Not serialized and not part of
-  /// the config digest, like thread counts. BACP_BATCH overrides the
-  /// construction default.
-  void set_batch_size(std::uint32_t batch);
-  std::uint32_t batch_size() const { return batch_size_; }
+  /// Accesses each core's generator produces per refill of its stream
+  /// buffer. Unconsumed buffers are rewound at every run boundary, so the
+  /// depth never shows in simulated state. On bench_perf_throughput's
+  /// system surface 64 beat 1 in every measured round.
+  static constexpr std::uint32_t kBatchSize = 64;
 
   /// Measurement run over `instructions_per_core` instructions per core.
   /// May be called repeatedly; statistics accumulate across calls.
   void run(std::uint64_t instructions_per_core);
 
-  /// Functional warming (SMARTS-style): advances every active core by
-  /// `instructions_per_core` instructions exercising the *state* machinery
-  /// in full — generator streams, L1/L2/directory transitions, MSA
-  /// profiles, epoch-boundary repartitions — under a flat timing model (no
-  /// MLP window, no issue queue, no gap jitter; core RNG streams are not
-  /// consumed). Caches and profiles land where a detailed run would put
-  /// them up to timing-induced reorderings; clocks advance approximately.
-  /// Deterministic: identical state in, identical state out. Statistics
-  /// accumulate as under run() — fast-forwarded spans must be excluded
-  /// from measurement with reset_measurement(), which also re-establishes
-  /// the statistics-clean point save_state() requires.
+  /// Warming span for sampled runs: the same event loop, quotas, timing
+  /// model and epoch boundaries as run(), so it leaves the simulated state
+  /// exactly where run() over the same span leaves it. The only difference
+  /// is that no per-core statistics freeze at quota completion.
+  /// Statistics accumulate as under run(); exclude the span from
+  /// measurement with reset_measurement(), which also re-establishes the
+  /// statistics-clean point save_state() requires.
   void fast_forward(std::uint64_t instructions_per_core);
 
   /// Session-style stepping (the sched::Service run surface): advances the
@@ -348,16 +336,26 @@ class System {
   };
 
   /// One core's buffered slice of its generator stream. Batches exist only
-  /// within execute()/step_epochs(): flush_streams() rewinds every
-  /// unconsumed suffix before control returns, so snapshots, workload
-  /// switches and core resets always see generators in their exact scalar
-  /// state.
+  /// within simulate(): flush_streams() rewinds every unconsumed suffix
+  /// before control returns, so snapshots, workload switches and core
+  /// resets always see generators in their exact scalar state.
   struct CoreStream {
     trace::AccessBatch batch;
     std::uint32_t cursor = 0;
   };
 
-  void execute(std::uint64_t instructions_per_core);
+  /// When a simulate() call returns.
+  enum class Until : std::uint8_t {
+    Quotas,          ///< every active core has met its instruction quota
+    MeasuredQuotas,  ///< as Quotas, freezing each core's statistics at its quota
+    Epochs,          ///< the requested number of epoch boundaries has fired
+  };
+
+  /// The one event loop behind run(), fast_forward(), warm_up() and
+  /// step_epochs(): serves the active cores' accesses in issue-time order
+  /// and fires epoch boundaries as global time crosses them. `count` is
+  /// instructions per core for the quota modes, boundaries for Epochs.
+  void simulate(Until until, std::uint64_t count);
   trace::MemoryAccess next_access(CoreId core);
   void flush_stream(CoreId core);
   void flush_streams();
@@ -371,7 +369,6 @@ class System {
   void reset_epoch_tracking();
   Cycle serve_access(CoreId core, Cycle issue_time);
   void apply_policy_plan();
-  void clear_all_stats();
   void snapshot_core(CoreId core);
   void restore_components(const snapshot::SnapshotView& view);
 
@@ -388,8 +385,6 @@ class System {
   std::vector<std::unique_ptr<trace::SyntheticTraceGenerator>> generators_;
   // NOLINTNEXTLINE(bacp-snapshot-fields): transient batched-access buffers; flushed (and generators rewound) before any snapshot
   std::vector<CoreStream> streams_;
-  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): execution knob, not simulated state; survives resets like thread counts
-  std::uint32_t batch_size_ = kDefaultBatchSize;
   std::vector<std::unique_ptr<msa::StackProfiler>> profilers_;
   std::vector<std::unique_ptr<core::CoreTimer>> timers_;
 

@@ -16,12 +16,11 @@ struct MemoryAccess {
   bool is_write = false;
 };
 
-/// A fixed-capacity run of consecutive accesses from one stream — the unit
-/// the batched pipeline operates on. Produced by
+/// A fixed-capacity run of consecutive accesses from one stream — the
+/// per-core stream buffer of sim::System. Produced by
 /// SyntheticTraceGenerator::next_batch() and consumed front-to-back; the
 /// generator can rewind an unconsumed suffix (truncate_batch), so batching
-/// is invisible to simulated state. Sized so a full batch of blocks (2 KiB)
-/// plus the derived per-lane columns stays L1-resident.
+/// is invisible to simulated state.
 struct AccessBatch {
   static constexpr std::uint32_t kMaxSize = 256;
   std::array<MemoryAccess, kMaxSize> accesses{};

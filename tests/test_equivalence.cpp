@@ -11,7 +11,7 @@
 //     widths;
 //   - trace::SyntheticTraceGenerator (ring-buffer recency lists) vs. a
 //     vector-of-vectors erase/insert formulation, including a mid-stream
-//     model switch;
+//     model switch, and its rewound batches vs. scalar next() calls;
 //   - core::CoreTimer (min-heap on done_at, in-place window scans) vs. a
 //     multiset-ordered formulation of the original pop-loop semantics;
 //   - nuca::DnucaCache residency index (exact {bank, way}) vs. brute-force
@@ -27,6 +27,7 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -39,6 +40,7 @@
 #include "partition/static_policies.hpp"
 #include "sim/system.hpp"
 #include "sim/system_config.hpp"
+#include "snapshot/codec.hpp"
 #include "trace/mix.hpp"
 #include "trace/spec2000.hpp"
 #include "trace/synthetic.hpp"
@@ -542,6 +544,66 @@ TEST(GeneratorEquivalence, RingBufferMatchesVectorListsAcrossModelSwitch) {
   }
 }
 
+std::vector<std::uint8_t> generator_bytes(const trace::SyntheticTraceGenerator& generator) {
+  std::vector<std::uint8_t> bytes;
+  snapshot::Writer writer(bytes);
+  generator.save_state(writer);
+  return bytes;
+}
+
+// sim::System refills each core's stream buffer with next_batch() and
+// rewinds the unconsumed suffix with truncate_batch() at every run
+// boundary, so the buffer depth must never show: after any cut the
+// generator is the one `consumed` scalar next() calls would have left.
+TEST(GeneratorEquivalence, BatchTruncateMatchesScalarAtEveryCut) {
+  const auto& model_a = trace::spec2000_by_name("art");
+  const auto& model_b = trace::spec2000_by_name("mcf");
+  struct Shape {
+    std::uint32_t num_sets;
+    WayCount max_depth;
+  };
+  // max_depth 6 lives in an 8-slot ring, so windows wrap; max_depth 8 fills
+  // the whole ring, so a fresh insert overwrites the live LRU tail and the
+  // rewind must put it back.
+  for (const Shape shape : {Shape{16, 6}, Shape{4, 8}}) {
+    SCOPED_TRACE("max_depth " + std::to_string(shape.max_depth));
+    const trace::GeneratorConfig config{shape.num_sets, shape.max_depth, 5};
+    trace::SyntheticTraceGenerator batched(model_a, config, 21);
+    trace::SyntheticTraceGenerator scalar(model_a, config, 21);
+    common::Rng rng(0xC07, shape.max_depth);
+    trace::AccessBatch batch;
+    constexpr int kCuts = 120;
+    for (int cut = 0; cut < kCuts; ++cut) {
+      if (cut == kCuts / 2) {
+        batched.switch_model(model_b);
+        scalar.switch_model(model_b);
+      }
+      const auto n =
+          static_cast<std::uint32_t>(1 + rng.next_below(trace::AccessBatch::kMaxSize));
+      // Every tenth cut pins an edge: nothing consumed, or all of it.
+      std::uint32_t consumed = static_cast<std::uint32_t>(rng.next_below(n + 1));
+      if (cut % 10 == 0) consumed = 0;
+      if (cut % 10 == 5) consumed = n;
+      batched.next_batch(batch, n);
+      ASSERT_EQ(batch.size, n);
+      for (std::uint32_t i = 0; i < consumed; ++i) {
+        const auto want = scalar.next();
+        ASSERT_EQ(batch.accesses[i].block, want.block) << "cut " << cut << " lane " << i;
+        ASSERT_EQ(batch.accesses[i].is_write, want.is_write)
+            << "cut " << cut << " lane " << i;
+      }
+      batched.truncate_batch(consumed);
+      ASSERT_EQ(generator_bytes(batched), generator_bytes(scalar)) << "cut " << cut;
+      for (int i = 0; i < 1'000; ++i) {
+        const auto got = batched.next();
+        const auto want = scalar.next();
+        ASSERT_EQ(got.block, want.block) << "cut " << cut << " access " << i;
+        ASSERT_EQ(got.is_write, want.is_write) << "cut " << cut << " access " << i;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Reference core timer: multiset-ordered window (the original
 // priority-queue formulation's semantics) vs. the in-place heap scans.
@@ -741,16 +803,15 @@ TEST(DnucaEquivalence, ResidencyIndexMatchesBruteForceProbesCascade) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched access pipeline vs. one-at-a-time scalar access.
+// DnucaCache::access_batch (the column API) vs. one-at-a-time scalar access.
 // ---------------------------------------------------------------------------
 
 /// Drives two identical DnucaCache instances over the same access stream —
 /// one through scalar access(), one through access_batch() cut into
 /// `batch_size` chunks (the final chunk is a tail whenever batch_size does
 /// not divide the stream) — and requires bit-identical outcomes, statistics
-/// and structural state. This is the pipeline's correctness contract: the
-/// batch front half may predict and prefetch whatever it likes, but the
-/// replay must leave nothing distinguishable from scalar execution.
+/// and structural state: the column API must leave nothing distinguishable
+/// from scalar execution.
 void check_batch_equivalence(nuca::AggregationKind kind, std::uint32_t batch_size,
                              std::size_t accesses, std::uint64_t seed) {
   nuca::DnucaConfig config;
@@ -856,27 +917,23 @@ TEST(BatchEquivalence, FullBatchesParallel) {
 
 TEST(BatchEquivalence, MaxBatchParallel) {
   check_batch_equivalence(nuca::AggregationKind::Parallel,
-                          nuca::DnucaCache::kMaxBatch, 50'000, 0xBA7C);
+                          trace::AccessBatch::kMaxSize, 50'000, 0xBA7C);
 }
 
 TEST(BatchEquivalence, FullBatchesCascade) {
-  // Cascade exercises promotion/demotion chains in the replay; the batch
-  // front half's Parallel fill predictions are useless here — the contract
-  // is that useless predictions still change nothing.
+  // Cascade exercises promotion/demotion chains across chunk boundaries.
   check_batch_equivalence(nuca::AggregationKind::Cascade, 64, 30'000, 0xCA5C);
 }
 
 TEST(BatchEquivalence, FullBatchesSharedDnuca) {
-  // SharedDnuca migrates a block one bank closer on every hit — the worst
-  // case for stale bank/way hints: every certified-replay hint must still
-  // be verified against the bank before it is trusted.
+  // SharedDnuca migrates a block one bank closer on every hit, so a block's
+  // bank and way change between accesses within one chunk.
   check_batch_equivalence(nuca::AggregationKind::SharedDnuca, 64, 30'000, 0x5DCA);
 }
 
 TEST(BatchEquivalence, RepartitionBetweenBatches) {
-  // Repartitioning mid-stream creates off-view residents — the hint paths
-  // where a batch's predicted fill banks and the replay's actual cursor
-  // consumption have to stay in lockstep.
+  // Repartitioning mid-stream creates off-view residents, whose migration
+  // consumes the Parallel fill cursor just as misses do.
   nuca::DnucaConfig config;
   config.geometry.num_cores = 4;
   config.geometry.num_banks = 8;
@@ -917,9 +974,9 @@ TEST(BatchEquivalence, RepartitionBetweenBatches) {
 
     std::vector<nuca::L2AccessOutcome> outcomes(per_phase);
     for (std::size_t start = 0; start < per_phase;
-         start += nuca::DnucaCache::kMaxBatch) {
+         start += trace::AccessBatch::kMaxSize) {
       const std::uint32_t count = static_cast<std::uint32_t>(
-          std::min<std::size_t>(nuca::DnucaCache::kMaxBatch, per_phase - start));
+          std::min<std::size_t>(trace::AccessBatch::kMaxSize, per_phase - start));
       batched.access_batch(blocks.data() + start, cores.data() + start,
                            reinterpret_cast<const bool*>(write_column.data()) + start,
                            times.data() + start, count, outcomes.data() + start);

@@ -195,10 +195,11 @@ void parse_like_a_binary(const char* flag) {
   std::exit(0);
 }
 
-// Pooling and mmap bank reads are unconditional; their old --pool/--mmap
-// dials must fail loudly rather than be silently ignored by a stale script.
+// Pooling and mmap bank reads are unconditional and the stream-buffer depth
+// is a constant; their old --pool/--mmap/--batch-size dials must fail loudly
+// rather than be silently ignored by a stale script.
 TEST(MonteCarloConfigDeathTest, RemovedSpeedDialFlagsAreUnknown) {
-  for (const char* flag : {"--pool=off", "--mmap=off"}) {
+  for (const char* flag : {"--pool=off", "--mmap=off", "--batch-size=4"}) {
     EXPECT_EXIT(parse_like_a_binary<MonteCarloConfig>(flag),
                 ::testing::ExitedWithCode(2), "unknown flag")
         << flag;

@@ -194,10 +194,9 @@ std::vector<std::uint8_t> saved_state(const StackProfiler& profiler) {
   return bytes;
 }
 
-// observe_batch filters sampled sets and mixes partial tags over a whole
-// chunk before replaying the stack updates; counters and stacks must end
-// byte-identical to per-element observe(), for pow2 and modulo sampling,
-// full and partial tags, and batches longer than one internal chunk.
+// observe_batch is the column form replay drivers call; counters and stacks
+// must end byte-identical to per-element observe(), for pow2 and modulo
+// sampling, full and partial tags, and long batches.
 TEST(StackProfiler, ObserveBatchMatchesPerElementObserve) {
   struct Shape {
     std::uint32_t sets, sampling, tag_bits;

@@ -4,9 +4,6 @@
 
 #include <map>
 #include <set>
-#include <vector>
-
-#include "common/rng.hpp"
 
 namespace bacp::cache {
 namespace {
@@ -61,21 +58,6 @@ TEST(PartialTag, WiderTagsAliasLess) {
     return collisions;
   };
   EXPECT_GT(collisions_at(8), collisions_at(16));
-}
-
-TEST(PartialTag, BatchedMatchesScalarPartialTag) {
-  common::Rng rng(0x7A65);
-  for (const std::uint32_t width : {1u, 9u, 16u, 21u, 32u, 40u}) {
-    for (const std::size_t count : {0u, 1u, 3u, 4u, 7u, 64u, 255u}) {
-      std::vector<BlockAddress> tags(count);
-      for (auto& tag : tags) tag = rng.next_u64();
-      std::vector<std::uint64_t> out(count, ~0ull);
-      partial_tags(tags.data(), out.data(), count, width);
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(out[i], partial_tag(tags[i], width)) << "width " << width << " lane " << i;
-      }
-    }
-  }
 }
 
 }  // namespace

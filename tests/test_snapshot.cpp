@@ -12,6 +12,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -374,20 +375,26 @@ TEST(SystemSnapshot, RestoreDerivesResidencyFromBankTags) {
     EXPECT_TRUE(report.ok()) << report.to_string();
     EXPECT_GT(report.checks, 0u);
 
+    using Triple = std::tuple<std::uint32_t, WayIndex, BlockAddress>;
+    const auto valid_lines = [](const cache::SetAssocCache& bank) {
+      std::vector<Triple> lines;
+      bank.for_each_valid([&](std::uint32_t set, WayIndex way, BlockAddress block) {
+        lines.emplace_back(set, way, block);
+      });
+      return lines;
+    };
     std::uint64_t resident = 0;
-    std::uint64_t misplaced = 0;
+    std::uint64_t misindexed = 0;
     for (BankId bank = 0; bank < config.geometry.num_banks; ++bank) {
-      original.l2().bank(bank).for_each_valid(
-          [&](std::uint32_t, WayIndex way, BlockAddress block) {
-            ++resident;
-            if (restored.l2().bank_of(block) != bank ||
-                !restored.l2().bank(bank).holds_at(block, way)) {
-              ++misplaced;
-            }
-          });
+      const auto lines = valid_lines(original.l2().bank(bank));
+      ASSERT_EQ(valid_lines(restored.l2().bank(bank)), lines) << "bank " << bank;
+      resident += lines.size();
+      for (const auto& [set, way, block] : lines) {
+        if (restored.l2().bank_of(block) != bank) ++misindexed;
+      }
     }
     EXPECT_GT(resident, 0u);
-    EXPECT_EQ(misplaced, 0u);
+    EXPECT_EQ(misindexed, 0u);
   }
 }
 

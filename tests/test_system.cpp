@@ -236,7 +236,7 @@ TEST(System, FastForwardAdvancesInstructionCounts) {
   system.warm_up(100'000);
   system.fast_forward(300'000);
   const auto results = system.results();
-  // Functional warming follows execute()'s co-scheduled-slice discipline:
+  // Functional warming follows run()'s co-scheduled-slice discipline:
   // every core retires at least its instruction budget, fast cores co-run
   // past it until the slowest finishes, and the budget-setting core stops
   // within quota-rounding slack of the budget itself.
@@ -304,6 +304,44 @@ TEST(System, FastForwardKeepsCacheWarm) {
   const double after_functional = interval_ratio(true);
   const double after_detailed = interval_ratio(false);
   EXPECT_NEAR(after_functional, after_detailed, 0.05 + 0.15 * after_detailed);
+}
+
+// Sampled runs enter every interval through fast_forward(), so it must
+// leave exactly the state run() leaves, idle slots included.
+TEST(System, FastForwardLeavesRunStateBitForBit) {
+  for (const auto policy :
+       {PolicyKind::NoPartition, PolicyKind::EqualPartition, PolicyKind::BankAware}) {
+    SCOPED_TRACE(to_string(policy));
+    System forwarded(fast_config(policy), capacity_diverse_mix());
+    System ran(fast_config(policy), capacity_diverse_mix());
+    for (System* system : {&forwarded, &ran}) {
+      system->set_core_active(5, false);
+      system->warm_up(100'000);
+    }
+    forwarded.fast_forward(400'000);
+    ran.run(400'000);
+    EXPECT_GT(ran.epochs_run(), 0u);
+    forwarded.reset_measurement();
+    ran.reset_measurement();
+    EXPECT_EQ(forwarded.save_state().bytes, ran.save_state().bytes);
+  }
+}
+
+// Epoch steps carry in-flight windows across calls, so how a session
+// slices its steps must not show in the state.
+TEST(System, StepEpochsSplitMatchesWhole) {
+  const auto config = fast_config(PolicyKind::BankAware);
+  System split(config, capacity_diverse_mix());
+  System whole(config, capacity_diverse_mix());
+  split.warm_up(100'000);
+  whole.warm_up(100'000);
+  for (int step = 0; step < 4; ++step) split.step_epochs(1);
+  whole.step_epochs(4);
+  EXPECT_EQ(split.epochs_run(), 4u);
+  EXPECT_EQ(whole.epochs_run(), 4u);
+  split.reset_measurement();
+  whole.reset_measurement();
+  EXPECT_EQ(split.save_state().bytes, whole.save_state().bytes);
 }
 
 TEST(SystemConfig, BaselineMatchesTableOne) {
