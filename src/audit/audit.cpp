@@ -145,39 +145,22 @@ void CacheAuditor::run(const cache::SetAssocCache& cache, AuditReport& report) {
     out.check((meta.dirty & ~meta.valid) == 0, "dirty_mask", kNoIndex, set,
               "dirty subset of valid " + hex_str(meta.valid), hex_str(meta.dirty));
 
-    // LRU byte-links: walking next-links from head must visit every way
-    // exactly once and end at tail, with prev-links mirroring each hop.
-    std::uint64_t visited = 0;
-    std::uint32_t steps = 0;
-    std::uint8_t way = meta.head;
-    std::uint8_t prev = SetAssocCache::kNil;
-    bool links_ok = true;
-    while (way != SetAssocCache::kNil && steps <= config.ways) {
-      if (way >= config.ways || ((visited >> way) & 1) != 0) {
-        links_ok = out.check(false, "lru_links", kNoIndex, set,
-                             "permutation walk of " + u64_str(config.ways) + " ways",
-                             "revisits or out-of-range way " + u64_str(way));
-        break;
+    // Recency order: the set's MRU-first bytes name every way exactly once
+    // (`ways` distinct ids, each below the way count, form a permutation).
+    const std::uint8_t* order = cache.order_of(set);
+    std::uint64_t seen = 0;
+    std::string defect;
+    for (WayIndex rank = 0; rank < config.ways && defect.empty(); ++rank) {
+      const std::uint8_t way = order[rank];
+      if (way >= config.ways) {
+        defect = "out-of-range way " + u64_str(way) + " at rank " + u64_str(rank);
+      } else if (((seen >> way) & 1) != 0) {
+        defect = "repeated way " + u64_str(way) + " at rank " + u64_str(rank);
       }
-      const std::uint8_t linked_prev = cache.links_[cache.link_index(set, way)];
-      if (linked_prev != prev) {
-        links_ok = out.check(false, "lru_links", kNoIndex, set,
-                             "prev(" + u64_str(way) + ") == " + u64_str(prev),
-                             u64_str(linked_prev));
-        break;
-      }
-      visited |= std::uint64_t{1} << way;
-      ++steps;
-      prev = way;
-      way = cache.links_[cache.link_index(set, way) + 1];
+      seen |= std::uint64_t{1} << (way & 63u);
     }
-    if (links_ok) {
-      out.check(visited == way_bits && steps == config.ways, "lru_links", kNoIndex,
-                set, "all " + u64_str(config.ways) + " ways visited",
-                u64_str(steps) + " visited, mask " + hex_str(visited));
-      out.check(meta.tail == prev, "lru_links", kNoIndex, set,
-                "tail == last-walked way " + u64_str(prev), u64_str(meta.tail));
-    }
+    out.check(defect.empty(), "lru_order", kNoIndex, set,
+              "permutation of " + u64_str(config.ways) + " ways", defect);
 
     // Tag/allocator columns vs. the valid bitmask.
     for (WayIndex w = 0; w < config.ways; ++w) {

@@ -51,13 +51,13 @@ inline constexpr std::uint64_t kNoIndex = ~std::uint64_t{0};
 struct Violation {
   Structure structure = Structure::Cache;
   std::string object;  ///< instance name ("L1.core3", "L2.bank7", "directory")
-  std::string field;   ///< invariant family ("lru_links", "residency_index", ...)
+  std::string field;   ///< invariant family ("lru_order", "residency_index", ...)
   std::uint64_t set = kNoIndex;   ///< set index within the object, if any
   std::uint64_t bank = kNoIndex;  ///< bank id, if any
   std::string expected;
   std::string actual;
 
-  /// "structure=cache object=L2.bank3 field=lru_links set=12: expected ..."
+  /// "structure=cache object=L2.bank3 field=lru_order set=12: expected ..."
   std::string to_string() const;
 };
 
@@ -76,8 +76,8 @@ struct AuditReport {
   std::string to_string() const;
 };
 
-/// SetAssocCache: the per-set LRU byte-links form a permutation of the ways
-/// (head/tail endpoints agree, no cycles, every way linked exactly once);
+/// SetAssocCache: each set's MRU-first recency order is a permutation of
+/// the ways (no repeated and no out-of-range way id);
 /// valid/dirty bitmasks are consistent with each other, the way count, and
 /// the tag/allocator columns; way masks are non-zero and the derived
 /// per-core owned-way masks match them.

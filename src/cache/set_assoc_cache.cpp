@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -38,7 +39,7 @@ SetAssocCache::SetAssocCache(const Config& config)
   tags_.assign(lines, 0);
   allocators_.resize(lines);
   meta_.resize(config_.num_sets);
-  links_.resize(lines * 2);
+  order_.resize(lines);
   way_masks_.resize(config_.ways);
   reset_in_place();
 }
@@ -47,21 +48,13 @@ void SetAssocCache::reset_in_place() {
   // Tags keep their bytes: with every valid bit cleared below, no way's
   // tag is read again before a fill overwrites it.
   std::fill(allocators_.begin(), allocators_.end(), kInvalidCore);
-  SetMeta initial;
-  initial.head = 0;
-  initial.tail = static_cast<std::uint8_t>(config_.ways - 1);
-  std::fill(meta_.begin(), meta_.end(), initial);
+  std::fill(meta_.begin(), meta_.end(), SetMeta{});
   // Initial recency order: way 0 MRU .. way (ways-1) LRU, matching the
   // iota-initialized lru_order of the reference formulation. Every set
-  // starts with the same links, so set 0's pattern is copied to the rest.
-  for (WayIndex way = 0; way < config_.ways; ++way) {
-    links_[link_index(0, way)] = way == 0 ? kNil : static_cast<std::uint8_t>(way - 1);
-    links_[link_index(0, way) + 1] =
-        way + 1 == config_.ways ? kNil : static_cast<std::uint8_t>(way + 1);
-  }
-  const std::size_t set_links = link_index(1, 0);
+  // starts with the same order, so set 0's is copied to the rest.
+  std::iota(order_.data(), order_.data() + config_.ways, std::uint8_t{0});
   for (std::uint32_t set = 1; set < config_.num_sets; ++set) {
-    std::memcpy(links_.data() + link_index(set, 0), links_.data(), set_links);
+    std::memcpy(order_of(set), order_.data(), config_.ways);
   }
   // Default: every core owns every way (unpartitioned shared cache).
   std::fill(way_masks_.begin(), way_masks_.end(), ~CoreMask{0});
@@ -79,52 +72,22 @@ Line SetAssocCache::line_at(std::uint32_t set, WayIndex way) const {
   return line;
 }
 
-void SetAssocCache::detach(std::uint32_t set, WayIndex way) {
-  std::uint8_t* links = links_.data() + link_index(set, 0);
-  const std::uint8_t prev = links[way * 2];
-  const std::uint8_t next = links[way * 2 + 1];
-  if (prev == kNil) {
-    meta_[set].head = next;
-  } else {
-    links[std::size_t{prev} * 2 + 1] = next;
-  }
-  if (next == kNil) {
-    meta_[set].tail = prev;
-  } else {
-    links[std::size_t{next} * 2] = prev;
-  }
-}
-
-void SetAssocCache::push_mru(std::uint32_t set, WayIndex way) {
-  std::uint8_t* links = links_.data() + link_index(set, 0);
-  const std::uint8_t old_head = meta_[set].head;
-  links[way * 2] = kNil;
-  links[way * 2 + 1] = old_head;
-  if (old_head == kNil) {
-    meta_[set].tail = static_cast<std::uint8_t>(way);
-  } else {
-    links[std::size_t{old_head} * 2] = static_cast<std::uint8_t>(way);
-  }
-  meta_[set].head = static_cast<std::uint8_t>(way);
-}
-
-void SetAssocCache::push_lru(std::uint32_t set, WayIndex way) {
-  std::uint8_t* links = links_.data() + link_index(set, 0);
-  const std::uint8_t old_tail = meta_[set].tail;
-  links[way * 2 + 1] = kNil;
-  links[way * 2] = old_tail;
-  if (old_tail == kNil) {
-    meta_[set].head = static_cast<std::uint8_t>(way);
-  } else {
-    links[std::size_t{old_tail} * 2 + 1] = static_cast<std::uint8_t>(way);
-  }
-  meta_[set].tail = static_cast<std::uint8_t>(way);
-}
-
 void SetAssocCache::touch_mru(std::uint32_t set, WayIndex way) {
-  if (meta_[set].head == way) return;
-  detach(set, way);
-  push_mru(set, way);
+  // Shift every way ahead of `way` back one rank and put `way` first, in
+  // one pass that stops where `way` stood.
+  std::uint8_t* order = order_of(set);
+  std::uint8_t carry = order[0];
+  if (carry == way) return;
+  order[0] = static_cast<std::uint8_t>(way);
+  for (WayIndex rank = 1; carry != way; ++rank) std::swap(carry, order[rank]);
+}
+
+WayIndex SetAssocCache::lru_of(std::uint32_t set, std::uint64_t candidates) const {
+  const std::uint8_t* order = order_of(set);
+  for (WayIndex rank = config_.ways; rank-- > 0;) {
+    if (((candidates >> order[rank]) & 1) != 0) return order[rank];
+  }
+  return config_.ways;
 }
 
 std::optional<LookupResult> SetAssocCache::find(BlockAddress block) const {
@@ -162,26 +125,18 @@ FillResult SetAssocCache::fill(BlockAddress block, CoreId core, bool dirty) {
   // Prefer an invalid owned way (lowest way index first); otherwise the
   // LRU-most owned way (paper's modified LRU: walk recency order from the
   // LRU end, restricted to ways whose mask includes the requesting core).
-  WayIndex victim = kNil;
+  WayIndex victim = config_.ways;
   const std::uint64_t invalid_owned = owned & ~meta_[set].valid;
   if (invalid_owned != 0) {
     victim = static_cast<WayIndex>(std::countr_zero(invalid_owned));
   } else if (std::has_single_bit(owned)) {
     // A one-way partition (the equal-partition default) has exactly one
-    // candidate — the recency walk below would only rediscover it through
-    // a chain of dependent link loads.
+    // candidate — the recency walk below would only rediscover it.
     victim = static_cast<WayIndex>(std::countr_zero(owned));
   } else {
-    const std::uint8_t* links = links_.data() + link_index(set, 0);
-    for (WayIndex way = meta_[set].tail; way != kNil;
-         way = links[std::size_t{way} * 2]) {
-      if (((owned >> way) & 1) != 0) {
-        victim = way;
-        break;
-      }
-    }
+    victim = lru_of(set, owned);
   }
-  BACP_ASSERT(victim != kNil, "fill by a core that owns no ways");
+  BACP_ASSERT(victim < config_.ways, "fill by a core that owns no ways");
 
   FillResult result;
   result.way = victim;
@@ -236,8 +191,11 @@ Line SetAssocCache::invalidate_at(BlockAddress block, WayIndex way) {
   meta_[set].dirty &= ~bit;
   allocators_[line_index(set, way)] = kInvalidCore;
   // Demote the freed way to LRU so it is the next allocation target.
-  detach(set, way);
-  push_lru(set, way);
+  std::uint8_t* order = order_of(set);
+  WayIndex rank = 0;
+  while (order[rank] != way) ++rank;
+  for (; rank + 1 < config_.ways; ++rank) order[rank] = order[rank + 1];
+  order[config_.ways - 1] = static_cast<std::uint8_t>(way);
   return copy;
 }
 
@@ -256,16 +214,9 @@ std::optional<Line> SetAssocCache::invalidate(BlockAddress block) {
 
 std::optional<Line> SetAssocCache::lru_line_for_core(BlockAddress block, CoreId core) const {
   const std::uint32_t set = set_index(block);
-  const std::uint8_t* links = links_.data() + link_index(set, 0);
-  const std::uint64_t owned = owned_ways_[core];
-  const std::uint64_t valid = meta_[set].valid;
-  for (WayIndex way = meta_[set].tail; way != kNil;
-       way = links[std::size_t{way} * 2]) {
-    if (((owned >> way) & 1) != 0 && ((valid >> way) & 1) != 0) {
-      return line_at(set, way);
-    }
-  }
-  return std::nullopt;
+  const WayIndex way = lru_of(set, owned_ways_[core] & meta_[set].valid);
+  if (way == config_.ways) return std::nullopt;
+  return line_at(set, way);
 }
 
 void SetAssocCache::set_way_partition(const std::vector<CoreMask>& masks) {
@@ -339,16 +290,9 @@ void SetAssocCache::save_state(snapshot::Writer& writer) const {
   for (std::uint32_t set = 0; set < config_.num_sets; ++set) {
     put_mask(set_record, meta_[set].valid, masks);
     put_mask(set_record + masks, meta_[set].dirty, masks);
-    set_record += 2 * masks;
-    // The recency list always links every way, so its MRU-first order is
-    // the whole list: head, tail and both link directions follow from it.
-    const std::uint8_t* links = links_.data() + link_index(set, 0);
-    std::uint8_t way = meta_[set].head;
-    for (WayIndex rank = 0; rank < config_.ways; ++rank) {
-      BACP_ASSERT(way != kNil, "recency list shorter than the way count");
-      *set_record++ = way;
-      way = links[std::size_t{way} * 2 + 1];
-    }
+    // The live recency order is the record's: one copy, no walk.
+    std::memcpy(set_record + 2 * masks, order_of(set), config_.ways);
+    set_record += set_record_bytes();
   }
   std::uint8_t* line_record = writer.bytes(live * kLiveRecordBytes).data();
   for_each_valid([&](std::uint32_t set, WayIndex way, BlockAddress block) {
@@ -383,7 +327,7 @@ void SetAssocCache::restore_set(std::uint32_t set, const std::uint8_t* record) {
   BACP_ASSERT((meta.valid & ~way_bits) == 0, "snapshot valid bit beyond the way count");
   BACP_ASSERT((meta.dirty & ~meta.valid) == 0, "snapshot dirty bit on an invalid way");
   // Recency order, MRU first: check it is a permutation of the ways before
-  // any way id indexes the links, then relink the list from it.
+  // any way id indexes a mask, then copy it in as is.
   const std::uint8_t* order = record + 2 * masks;
   std::uint64_t seen = 0;
   bool in_range = true;
@@ -393,15 +337,7 @@ void SetAssocCache::restore_set(std::uint32_t set, const std::uint8_t* record) {
   }
   BACP_ASSERT(in_range && seen == way_bits,
               "snapshot recency order is not a permutation of the ways");
-  std::uint8_t* links = links_.data() + link_index(set, 0);
-  links[std::size_t{order[0]} * 2] = kNil;
-  for (WayIndex rank = 1; rank < config_.ways; ++rank) {
-    links[std::size_t{order[rank - 1]} * 2 + 1] = order[rank];
-    links[std::size_t{order[rank]} * 2] = order[rank - 1];
-  }
-  links[std::size_t{order[config_.ways - 1]} * 2 + 1] = kNil;
-  meta.head = order[0];
-  meta.tail = order[config_.ways - 1];
+  std::memcpy(order_of(set), order, config_.ways);
 }
 
 std::uint64_t SetAssocCache::valid_lines() const {

@@ -67,11 +67,13 @@ struct CacheStats {
 /// Storage is structure-of-arrays: probes scan a contiguous per-set tag
 /// column (one or two cache lines for an 8-way set) instead of striding
 /// over Line structs, validity/dirtiness are per-set bitmasks, and recency
-/// is an intrusive doubly-linked list per set so touch-to-MRU, demote-to-LRU
-/// and victim selection are O(1)/O(ways) pointer updates with no
-/// vector shuffling. Behavior is bit-identical to the straightforward
-/// `vector<Line>` + `vector<WayIndex> lru_order` formulation (see
-/// tests/test_equivalence.cpp, which replays both against random streams).
+/// is each set's MRU-first order of way ids, one byte per way — the same
+/// bytes the snapshot writes, so save and restore copy it instead of
+/// relinking. Touch-to-MRU shifts the prefix ahead of the touched way by
+/// one byte; victim selection walks the order from its LRU end. Behavior
+/// is bit-identical to the straightforward `vector<Line>` +
+/// `vector<WayIndex> lru_order` formulation (see tests/test_equivalence.cpp,
+/// which replays both against random streams).
 class SetAssocCache {
  public:
   struct Config {
@@ -158,8 +160,9 @@ class SetAssocCache {
 
   /// Restores a save_state() image. Asserts the geometry echo, valid bits
   /// below `ways`, dirty ⊆ valid, each recency order a permutation of the
-  /// ways, and the live count against the valid bits. Dead ways get
-  /// allocator kInvalidCore and keep whatever tag bytes they held.
+  /// ways (then copied in as is), and the live count against the valid
+  /// bits. Dead ways get allocator kInvalidCore and keep whatever tag
+  /// bytes they held.
   /// on_live(set, way, block) runs once per restored valid line, in stream
   /// order — DnucaCache derives its residency index from it in the same
   /// pass.
@@ -189,48 +192,42 @@ class SetAssocCache {
     return static_cast<std::uint32_t>(block & (config_.num_sets - 1));
   }
 
-  /// Read-prefetches the set metadata, tag column and recency links for
+  /// Read-prefetches the set metadata, tag column and recency order for
   /// `block`'s set. sim::System issues it for each core's next buffered
   /// access, so the L1 lookup that follows finds its set lines warm.
   void prefetch_set(BlockAddress block) const {
     const std::uint32_t set = set_index(block);
     common::simd::prefetch_read(&meta_[set]);
     common::simd::prefetch_read(tags_.data() + line_index(set, 0));
-    common::simd::prefetch_read(links_.data() + link_index(set, 0));
+    common::simd::prefetch_read(order_.data() + line_index(set, 0));
   }
 
  private:
-  /// The structural auditor reads raw link bytes and metadata bitmasks;
+  /// The structural auditor reads raw recency bytes and metadata bitmasks;
   /// the test peer plants corruptions for the auditor's kill-tests. Only
   /// these two may bypass the public API.
   friend class audit::CacheAuditor;
   friend class audit::NucaAuditor;  // reads per-slot lines for residency checks
   friend struct CacheTestPeer;
 
-  /// Intrusive-list terminator ("no way"); fits the byte-wide link arrays.
-  static constexpr std::uint8_t kNil = 0xFF;
-
-  /// One set's bookkeeping, packed so an access touches a single cache
-  /// line of metadata: validity/dirtiness bitmasks (bit w == way w) plus
-  /// the recency list's endpoints (head == MRU, tail == LRU).
+  /// One set's validity/dirtiness bitmasks (bit w == way w).
   struct SetMeta {
     std::uint64_t valid = 0;
     std::uint64_t dirty = 0;
-    std::uint8_t head = 0;
-    std::uint8_t tail = 0;
   };
 
   std::size_t line_index(std::uint32_t set, WayIndex way) const {
     return std::size_t{set} * config_.ways + way;
   }
-  std::size_t link_index(std::uint32_t set, WayIndex way) const {
-    return (std::size_t{set} * config_.ways + way) * 2;
-  }
   Line line_at(std::uint32_t set, WayIndex way) const;
-  void detach(std::uint32_t set, WayIndex way);
-  void push_mru(std::uint32_t set, WayIndex way);
-  void push_lru(std::uint32_t set, WayIndex way);
+  std::uint8_t* order_of(std::uint32_t set) { return order_.data() + line_index(set, 0); }
+  const std::uint8_t* order_of(std::uint32_t set) const {
+    return order_.data() + line_index(set, 0);
+  }
   void touch_mru(std::uint32_t set, WayIndex way);
+  /// Least recently used way among `candidates` (a way bitmask), or
+  /// config_.ways when the set holds none of them.
+  WayIndex lru_of(std::uint32_t set, std::uint64_t candidates) const;
   std::optional<LookupResult> find(BlockAddress block) const;
   void rebuild_owned_ways();
   /// restore_state() pieces: restore_layout() reads everything ahead of
@@ -253,10 +250,9 @@ class SetAssocCache {
   std::vector<BlockAddress> tags_;
   std::vector<CoreId> allocators_;
   std::vector<SetMeta> meta_;
-  // Per-set intrusive recency list: byte-wide prev/next pairs, interleaved
-  // ([link_index + 0] == prev, [+ 1] == next) so one set's whole list is
-  // 2 * ways contiguous bytes.
-  std::vector<std::uint8_t> links_;
+  // Per-set recency, MRU first: order_[line_index(set, rank)] is the way
+  // at `rank`. Always a permutation of the set's ways (audit_cache).
+  std::vector<std::uint8_t> order_;
   std::vector<CoreMask> way_masks_;
   // Per-core bitmask of owned ways, derived from way_masks_ so the fill
   // path finds "first invalid owned way" with one countr_zero.

@@ -8,7 +8,6 @@
 #include <span>
 #include <utility>
 
-#include "audit/snapshot_audit.hpp"
 #include "common/fsio.hpp"
 #include "common/thread_pool.hpp"
 #include "harness/config_cli.hpp"
@@ -83,17 +82,16 @@ SnapshotCache::SnapshotPtr SnapshotCache::try_load(const std::string& directory,
   // inode, so a concurrent re-publish (atomic rename) cannot tear it.
   auto mapping = std::make_shared<common::MappedFile>(common::MappedFile::open(path));
   if (!mapping->valid()) return nullptr;
-  auto snapshot = std::make_shared<snapshot::SystemSnapshot>();
-  snapshot->mapped = mapping->bytes();
-  snapshot->backing = std::move(mapping);
-  // The bank is advisory: a snapshot that fails the structural audit
-  // (truncation, bit rot, a stale format) is simply ignored and the warm-up
-  // runs — wrong bytes must never leak into a simulation. audit_snapshot
-  // reads through data(), so every section checksum is computed from the
-  // mapped region itself and a truncated map fails closed here, before any
-  // restore can touch it.
-  if (!audit::audit_snapshot(*snapshot).ok()) return nullptr;
-  return snapshot;
+  const std::span<const std::uint8_t> bytes = mapping->bytes();
+  // The bank is advisory: a file that fails validation (truncation, bit
+  // rot, a stale format) is simply ignored and the warm-up runs — wrong
+  // bytes must never leak into a simulation. from_mapping checksums the
+  // mapped region itself, once; restores then trust its validated table
+  // (DESIGN §9: bank files are published by rename, never written in
+  // place).
+  auto snapshot = snapshot::SystemSnapshot::from_mapping(bytes, std::move(mapping));
+  if (!snapshot) return nullptr;
+  return std::make_shared<const snapshot::SystemSnapshot>(std::move(*snapshot));
 }
 
 void SnapshotCache::store(const std::string& directory, std::uint64_t key,

@@ -37,7 +37,7 @@ class SnapshotCache {
 
   /// File-backed mode: snapshots persist in `directory` as `<16-hex-key>.snap`
   /// (the raw snapshot buffer, mmap-ably flat). A first caller whose key is
-  /// on disk loads and audit-validates the file instead of warming; a failed
+  /// on disk loads and validates the file instead of warming; a failed
   /// validation discards the file's bytes and rewarms (the bank is a pure
   /// cache — a corrupt entry can cost time, never correctness). Freshly
   /// warmed snapshots are published via temp file + atomic rename, so

@@ -29,9 +29,9 @@ class PhaseTimers {
 
   class Scope {
    public:
-    Scope(PhaseTimers& timers, std::string name)
+    Scope(PhaseTimers& timers, std::string_view name)
         // NOLINTNEXTLINE(bacp-det-wallclock): phase timing measures real elapsed host time by design; never feeds simulated state
-        : timers_(&timers), name_(std::move(name)), start_(Clock::now()) {}
+        : timers_(&timers), name_(name), start_(Clock::now()) {}
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
     ~Scope() {
@@ -42,13 +42,15 @@ class PhaseTimers {
    private:
     using Clock = std::chrono::steady_clock;
     PhaseTimers* timers_;
-    std::string name_;
+    std::string_view name_;
     Clock::time_point start_;
   };
 
   /// Starts timing `name`; the elapsed wall time is added when the returned
-  /// scope is destroyed.
-  Scope scope(std::string name) { return Scope(*this, std::move(name)); }
+  /// scope is destroyed. `name` is borrowed, not copied — it must outlive
+  /// the scope (a literal or a caller's local) — so timing a phase
+  /// allocates nothing once the phase exists.
+  Scope scope(std::string_view name) { return Scope(*this, name); }
 
   void add(std::string_view name, double seconds) BACP_EXCLUDES(mutex_);
 

@@ -57,6 +57,11 @@ void TimeSeries::clear() {
   epochs_ = 0;
 }
 
+void TimeSeries::clear_samples() {
+  for (auto& samples : columns_) samples.clear();
+  epochs_ = 0;
+}
+
 Json TimeSeries::to_json() const {
   Json series = Json::object();
   for (const auto& [name, handle] : index_) {

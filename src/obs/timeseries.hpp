@@ -31,7 +31,8 @@ namespace bacp::obs {
 /// ahead of time never changes the emitted artifacts.
 class TimeSeries {
  public:
-  /// Stable index of an interned series. Invalidated by clear().
+  /// Stable index of an interned series. Invalidated by clear(), kept by
+  /// clear_samples().
   using SeriesHandle = std::size_t;
 
   /// Opens the next row. All record() calls until the next begin_epoch()
@@ -54,6 +55,11 @@ class TimeSeries {
   std::vector<std::string> names() const;
 
   void clear();
+  /// Drops every sample and epoch but keeps the interned columns, so
+  /// handles stay valid: a recorder that interns once per lifetime clears
+  /// between measurement windows without re-allocating its names. The
+  /// outputs match a clear() — empty columns are never emitted.
+  void clear_samples();
 
   /// {"epochs": N, "series": {name: [v0, v1, ...]}} with sorted names.
   Json to_json() const;

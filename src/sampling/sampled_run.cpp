@@ -146,36 +146,45 @@ SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
     const std::uint32_t medoid = plan.medoids[slot];
     chain = fold(chain, medoid);
 
-    const auto warm = [&]() -> snapshot::SystemSnapshot {
-      const auto timer = obs::global_phase_timers().scope("sampling.warm");
-      if (!warmed) {
-        system.warm_up(run.warmup_instructions);
-        warmed = true;
-      }
-      for (; pos < medoid; ++pos) system.fast_forward(run.interval_instructions);
-      // fast_forward accumulates statistics and fires epoch boundaries;
-      // re-arm the measurement window so the snapshot is statistics-clean
-      // (save_state's precondition) and the interval measures only itself.
+    if (warmed && medoid == pos) {
+      // Adjacent medoid: the live system already stands at this boundary,
+      // straight after the previous detailed interval. The snapshot this
+      // key names was produced from exactly that state (warm() below would
+      // fast-forward nothing), so re-entering it would copy in the bytes
+      // the system already holds. Only the measurement window re-arms.
       system.reset_measurement();
-      return system.save_state();
-    };
-    SnapshotStore::SnapshotPtr boundary;
-    if (snapshots != nullptr) {
-      boundary = snapshots->get_or_warm(chain, warm);
     } else {
-      boundary = std::make_shared<const snapshot::SystemSnapshot>(warm());
+      const auto warm = [&]() -> snapshot::SystemSnapshot {
+        const auto timer = obs::global_phase_timers().scope("sampling.warm");
+        if (!warmed) {
+          system.warm_up(run.warmup_instructions);
+          warmed = true;
+        }
+        for (; pos < medoid; ++pos) system.fast_forward(run.interval_instructions);
+        // fast_forward accumulates statistics and fires epoch boundaries;
+        // re-arm the measurement window so the snapshot is statistics-clean
+        // (save_state's precondition) and the interval measures only itself.
+        system.reset_measurement();
+        return system.save_state();
+      };
+      SnapshotStore::SnapshotPtr boundary;
+      if (snapshots != nullptr) {
+        boundary = snapshots->get_or_warm(chain, warm);
+      } else {
+        boundary = std::make_shared<const snapshot::SystemSnapshot>(warm());
+      }
+      // Restore: on a store hit this forks the banked state (possibly
+      // warmed by another thread or process); on a miss it re-applies the
+      // bytes the live system just produced — either way the detailed
+      // interval below starts from the identical boundary state.
+      {
+        const auto timer = obs::global_phase_timers().scope("sampling.restore");
+        system.restore_state(*boundary);
+      }
+      warmed = true;
+      pos = medoid;
+      system.reset_measurement();
     }
-    // Restore unconditionally: on a store hit this forks the banked state
-    // (possibly warmed by another thread or process); on a miss it re-applies
-    // the bytes the live system just produced — either way the detailed
-    // interval below starts from the identical boundary state.
-    {
-      const auto timer = obs::global_phase_timers().scope("sampling.restore");
-      system.restore_state(*boundary);
-    }
-    warmed = true;
-    pos = medoid;
-    system.reset_measurement();
 
     {
       const auto timer = obs::global_phase_timers().scope("sampling.detail");

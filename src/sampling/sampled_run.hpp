@@ -97,9 +97,12 @@ SamplingPlan plan_mix(const sim::SystemConfig& config, const trace::WorkloadMix&
 /// System::fast_forward functional warming over the skipped intervals and
 /// keyed by the fold chain (config digest, run shape, medoid prefix), so a
 /// boundary state is warmed at most once per store no matter how many
-/// trials, threads or processes share it. Returns the population-weighted
-/// extrapolation. With `snapshots == nullptr` the engine advances one live
-/// system and snapshots only at medoid boundaries (no reuse).
+/// trials, threads or processes share it. A medoid adjacent to the one
+/// before it is not entered: the live system already stands at its
+/// boundary, so it only re-arms the measurement window (no store query,
+/// no restore). Returns the population-weighted extrapolation. With
+/// `snapshots == nullptr` the engine advances one live system and
+/// snapshots only at entered medoid boundaries (no reuse).
 SampledEstimate run_sampled_mix(const sim::SystemConfig& config,
                                 const trace::WorkloadMix& mix,
                                 const SampledRunConfig& run,

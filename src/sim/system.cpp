@@ -193,6 +193,7 @@ System::System(const SystemConfig& config, const trace::WorkloadMix& mix)
   bound_workloads_ = mix_.workload_indices;
   apply_policy_plan();
   next_epoch_ = config_.epoch_cycles;
+  intern_epoch_series();
   reset_epoch_tracking();
 }
 
@@ -356,10 +357,7 @@ void System::record_epoch_series() {
       delta(noc_.stats().total_queue_cycles, epoch_baseline_.noc_queue_cycles));
 }
 
-void System::reset_epoch_tracking() {
-  epoch_series_.clear();
-  epoch_handles_.ways.clear();
-  epoch_handles_.cpi.clear();
+void System::intern_epoch_series() {
   for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {
     const std::string prefix = "core" + std::to_string(core) + ".";
     epoch_handles_.ways.push_back(epoch_series_.intern(prefix + "ways"));
@@ -371,7 +369,12 @@ void System::reset_epoch_tracking() {
   epoch_handles_.dram_reads = epoch_series_.intern("dram_reads");
   epoch_handles_.dram_writebacks = epoch_series_.intern("dram_writebacks");
   epoch_handles_.noc_queue_cycles = epoch_series_.intern("noc_queue_cycles");
-  epoch_baseline_ = EpochBaseline{};
+}
+
+void System::reset_epoch_tracking() {
+  // Runs on every restore and reset_measurement: it clears samples and
+  // overwrites the baseline in place, allocating nothing.
+  epoch_series_.clear_samples();
   epoch_baseline_.instructions.resize(config_.geometry.num_cores);
   epoch_baseline_.cycles.resize(config_.geometry.num_cores);
   for (CoreId core = 0; core < config_.geometry.num_cores; ++core) {

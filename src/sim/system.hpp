@@ -308,9 +308,8 @@ class System {
 
   /// Interned TimeSeries column handles for every series the epoch
   /// recorder emits, so an epoch boundary performs no string building or
-  /// map lookups ("core<N>.ways" etc. are interned once per reset, not
-  /// rebuilt per epoch). Rebuilt by reset_epoch_tracking() because
-  /// TimeSeries::clear() invalidates handles.
+  /// map lookups. Interned once per System by intern_epoch_series();
+  /// reset_epoch_tracking() clears samples only, which keeps handles valid.
   struct EpochSeriesHandles {
     std::vector<obs::TimeSeries::SeriesHandle> ways;  // per core
     std::vector<obs::TimeSeries::SeriesHandle> cpi;   // per core
@@ -366,6 +365,7 @@ class System {
   void audit_checkpoint(const char* where) const;
   void run_epoch_boundary();
   void record_epoch_series();
+  void intern_epoch_series();
   void reset_epoch_tracking();
   Cycle serve_access(CoreId core, Cycle issue_time);
   void apply_policy_plan();
@@ -406,7 +406,7 @@ class System {
   std::uint64_t epochs_ = 0;
   // NOLINTNEXTLINE(bacp-snapshot-fields): observability sink, harvested by reporting; reset (not replayed) on restore
   obs::TimeSeries epoch_series_;
-  // NOLINTNEXTLINE(bacp-snapshot-fields): interned handles into epoch_series_; re-interned by reset_epoch_tracking() on restore
+  // NOLINTNEXTLINE(bacp-snapshot-fields, bacp-reset-fields): interned handles into epoch_series_, fixed for the System's lifetime (clear_samples keeps them valid)
   EpochSeriesHandles epoch_handles_;
   // NOLINTNEXTLINE(bacp-snapshot-fields): per-epoch delta baseline; reset with the series on restore
   EpochBaseline epoch_baseline_;

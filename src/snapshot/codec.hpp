@@ -80,10 +80,10 @@ class Writer {
 };
 
 /// Bounds-checked cursor over one snapshot section. Underrun or a shape
-/// mismatch aborts via BACP_ASSERT: restore_state() is only handed buffers
-/// that audit_snapshot() (the graceful validator) or the producing
-/// save_state() vouch for, so a malformed read here is a program bug, not
-/// an input error.
+/// mismatch aborts via BACP_ASSERT: restore_state() is only handed
+/// validated SystemSnapshots (sealed by the producing save_state(), or
+/// checked by snapshot::validate_framing on load), so a malformed read
+/// here is a program bug, not an input error.
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}

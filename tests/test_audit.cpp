@@ -32,9 +32,9 @@
 namespace bacp::cache {
 /// Test-only backdoor into SetAssocCache internals (friend of the class).
 struct CacheTestPeer {
-  static std::uint8_t& link(SetAssocCache& cache, std::uint32_t set, WayIndex way,
-                            std::size_t offset) {
-    return cache.links_[cache.link_index(set, way) + offset];
+  /// The byte at `rank` of the set's MRU-first recency order.
+  static std::uint8_t& order(SetAssocCache& cache, std::uint32_t set, WayIndex rank) {
+    return cache.order_[cache.line_index(set, rank)];
   }
   static std::uint64_t& valid_mask(SetAssocCache& cache, std::uint32_t set) {
     return cache.meta_[set].valid;
@@ -146,16 +146,25 @@ TEST(AuditCache, CleanCachePassesAndCountsChecks) {
   EXPECT_GT(report.checks, 50u);
 }
 
-TEST(AuditCache, KillsBrokenLruLink) {
+TEST(AuditCache, KillsDuplicatedRecencyWay) {
   SetAssocCache cache = small_cache();
-  // Point way 0's next-link back at way 0: whenever the recency walk
-  // reaches way 0 it revisits or self-cycles, so the per-set permutation
-  // breaks.
-  CacheTestPeer::link(cache, 0, 0, 1) = 0;
+  // Rank 1 repeats the MRU way, so some other way drops out of the order
+  // and could never age to LRU or be chosen as a victim.
+  CacheTestPeer::order(cache, 0, 1) = CacheTestPeer::order(cache, 0, 0);
   const AuditReport report = audit_cache(cache);
-  const Violation& violation = require_violation(report, Structure::Cache, "lru_links");
+  const Violation& violation = require_violation(report, Structure::Cache, "lru_order");
   EXPECT_EQ(violation.set, 0u);
   EXPECT_EQ(violation.object, "test-cache");
+}
+
+TEST(AuditCache, KillsOutOfRangeRecencyWay) {
+  SetAssocCache cache = small_cache();
+  // A way id past the way count: a victim walk would index the masks and
+  // tag column out of the set.
+  CacheTestPeer::order(cache, 6, 3) = 4;  // only 4 ways
+  const AuditReport report = audit_cache(cache);
+  const Violation& violation = require_violation(report, Structure::Cache, "lru_order");
+  EXPECT_EQ(violation.set, 6u);
 }
 
 TEST(AuditCache, KillsDirtyBitOnInvalidLine) {
@@ -607,49 +616,64 @@ TEST(SnapshotAudit, CleanSnapshotPasses) {
   EXPECT_GT(report.checks, 0u);
 }
 
+/// Raw bytes of small_snapshot(), for planting framing defects: a built
+/// snapshot's own bytes are immutable.
+std::vector<std::uint8_t> small_snapshot_bytes() {
+  const auto snapshot = small_snapshot();
+  return {snapshot.data().begin(), snapshot.data().end()};
+}
+
+/// One walk gates both paths: the audit names the defect and the
+/// validating constructor refuses the buffer.
+void require_framing_defect(const std::vector<std::uint8_t>& bytes, const std::string& field) {
+  require_violation(audit_snapshot(bytes), Structure::Snapshot, field);
+  EXPECT_FALSE(snapshot::SystemSnapshot::from_bytes(bytes).has_value()) << field;
+}
+
 TEST(SnapshotAudit, FlagsTruncatedBuffer) {
-  auto snapshot = small_snapshot();
-  snapshot.bytes.resize(snapshot::kHeaderBytes - 1);
-  require_violation(audit_snapshot(snapshot), Structure::Snapshot, "min_size");
+  auto bytes = small_snapshot_bytes();
+  bytes.resize(snapshot::kHeaderBytes - 1);
+  require_framing_defect(bytes, "min_size");
 }
 
 TEST(SnapshotAudit, FlagsTruncatedSectionTable) {
-  auto snapshot = small_snapshot();
-  snapshot.bytes.resize(snapshot::kHeaderBytes + snapshot::kTableEntryBytes / 2);
-  require_violation(audit_snapshot(snapshot), Structure::Snapshot, "table_bounds");
+  auto bytes = small_snapshot_bytes();
+  bytes.resize(snapshot::kHeaderBytes + snapshot::kTableEntryBytes / 2);
+  require_framing_defect(bytes, "table_bounds");
 }
 
 TEST(SnapshotAudit, FlagsCorruptedMagic) {
-  auto snapshot = small_snapshot();
-  snapshot.bytes[0] ^= 0xFF;
-  require_violation(audit_snapshot(snapshot), Structure::Snapshot, "magic");
+  auto bytes = small_snapshot_bytes();
+  bytes[0] ^= 0xFF;
+  require_framing_defect(bytes, "magic");
 }
 
 TEST(SnapshotAudit, FlagsVersionSkew) {
-  auto snapshot = small_snapshot();
-  snapshot.bytes[8] += 1;  // version field sits right after the u64 magic
-  require_violation(audit_snapshot(snapshot), Structure::Snapshot, "version");
+  auto bytes = small_snapshot_bytes();
+  bytes[8] += 1;  // version field sits right after the u64 magic
+  require_framing_defect(bytes, "version");
 }
 
 TEST(SnapshotAudit, FlagsCorruptedSectionPayload) {
-  auto snapshot = small_snapshot();
-  snapshot.bytes.back() ^= 0x01;  // last payload byte, checksummed
-  const auto report = audit_snapshot(snapshot);
+  auto bytes = small_snapshot_bytes();
+  bytes.back() ^= 0x01;  // last payload byte, checksummed
+  const auto report = audit_snapshot(bytes);
   const Violation& violation =
       require_violation(report, Structure::Snapshot, "checksum");
   EXPECT_NE(violation.object.find("dram"), std::string::npos);
+  EXPECT_FALSE(snapshot::SystemSnapshot::from_bytes(bytes).has_value());
 }
 
 TEST(SnapshotAudit, FlagsTrailingBytes) {
-  auto snapshot = small_snapshot();
-  snapshot.bytes.push_back(0);
-  require_violation(audit_snapshot(snapshot), Structure::Snapshot, "trailing_bytes");
+  auto bytes = small_snapshot_bytes();
+  bytes.push_back(0);
+  require_framing_defect(bytes, "trailing_bytes");
 }
 
 TEST(SnapshotAudit, FlagsOversizedSectionCount) {
-  auto snapshot = small_snapshot();
-  snapshot.bytes[12] = 0xFF;  // section count field
-  require_violation(audit_snapshot(snapshot), Structure::Snapshot, "section_count");
+  auto bytes = small_snapshot_bytes();
+  bytes[12] = 0xFF;  // section count field
+  require_framing_defect(bytes, "section_count");
 }
 
 // ---------------------------------------------------------------------------

@@ -1023,7 +1023,7 @@ TEST(PoolEquivalence, ResetInPlaceMatchesFreshConstructionBitForBit) {
   reused.reset_in_place(second_mix);
 
   sim::System fresh(config, second_mix);
-  EXPECT_EQ(reused.save_state().bytes, fresh.save_state().bytes);
+  EXPECT_TRUE(reused.save_state() == fresh.save_state());
 
   // ...and the rewound System replays the second trial on the exact
   // trajectory of the fresh one, not merely from an equal-looking start.
@@ -1031,7 +1031,7 @@ TEST(PoolEquivalence, ResetInPlaceMatchesFreshConstructionBitForBit) {
   // states compare as bytes and the measured runs compare as results.)
   reused.warm_up(200'000);
   fresh.warm_up(200'000);
-  EXPECT_EQ(reused.save_state().bytes, fresh.save_state().bytes);
+  EXPECT_TRUE(reused.save_state() == fresh.save_state());
   reused.run(400'000);
   fresh.run(400'000);
   EXPECT_EQ(reused.results().to_json().dump(), fresh.results().to_json().dump());
@@ -1059,7 +1059,7 @@ TEST(PoolEquivalence, RepeatedResetsDoNotDrift) {
 
     sim::System fresh(config, mix);
     fresh.warm_up(150'000);
-    ASSERT_EQ(reused.save_state().bytes, fresh.save_state().bytes);
+    ASSERT_TRUE(reused.save_state() == fresh.save_state());
 
     reused.run(250'000);
     fresh.run(250'000);

@@ -253,6 +253,43 @@ TEST(TimeSeries, JsonAndCsvShapes) {
   EXPECT_EQ(csv.str(), "epoch,a,b\n0,1,2\n1,3,4\n");
 }
 
+// A recorder that interns once per lifetime clears with clear_samples():
+// its handles stay valid, and every output matches a fresh series that
+// recorded the same window.
+TEST(TimeSeries, ClearSamplesKeepsHandlesAndMatchesAFreshSeries) {
+  TimeSeries reused;
+  const auto a = reused.intern("a");
+  const auto b = reused.intern("b");
+  reused.intern("never");
+  reused.begin_epoch();
+  reused.record(a, 9.0);
+  reused.record(b, 8.0);
+  reused.clear_samples();
+  EXPECT_EQ(reused.num_epochs(), 0u);
+  EXPECT_TRUE(reused.names().empty());
+  EXPECT_EQ(reused.to_json().dump(), TimeSeries().to_json().dump());
+
+  reused.begin_epoch();
+  reused.record(a, 1.0);
+  reused.begin_epoch();
+  reused.record(a, 3.0);
+  reused.record(b, 4.0);  // first sample of this window: back-filled
+
+  TimeSeries fresh;
+  fresh.begin_epoch();
+  fresh.record("a", 1.0);
+  fresh.begin_epoch();
+  fresh.record("a", 3.0);
+  fresh.record("b", 4.0);
+  EXPECT_EQ(reused.to_json().dump(), fresh.to_json().dump());
+  EXPECT_EQ(reused.names(), fresh.names());
+  std::ostringstream reused_csv;
+  std::ostringstream fresh_csv;
+  reused.write_csv(reused_csv);
+  fresh.write_csv(fresh_csv);
+  EXPECT_EQ(reused_csv.str(), fresh_csv.str());
+}
+
 // ---------------------------------------------------------- PhaseTimers --
 
 TEST(PhaseTimers, ScopesAccumulateByName) {

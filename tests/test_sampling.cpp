@@ -7,15 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <map>
+#include <string>
 #include <numeric>
 #include <vector>
 
 #include "audit/pool_audit.hpp"
 #include "audit/sampling_audit.hpp"
+#include "common/stats.hpp"
+#include "harness/snapshot_cache.hpp"
 #include "harness/system_pool.hpp"
 #include "sampling/interval_features.hpp"
 #include "sampling/kmedoids.hpp"
@@ -249,6 +254,16 @@ class MapStore final : public SnapshotStore {
   std::size_t misses_ = 0;
 };
 
+/// Slots run_sampled_mix enters through the store: the first, and every
+/// medoid not adjacent to the one before it.
+std::size_t entered_boundaries(const SamplingPlan& plan) {
+  std::size_t entered = 0;
+  for (std::size_t slot = 0; slot < plan.medoids.size(); ++slot) {
+    if (slot == 0 || plan.medoids[slot] != plan.medoids[slot - 1] + 1) ++entered;
+  }
+  return entered;
+}
+
 void expect_estimates_identical(const SampledEstimate& a, const SampledEstimate& b) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a.miss_ratio),
             std::bit_cast<std::uint64_t>(b.miss_ratio));
@@ -287,11 +302,14 @@ TEST(SampledRun, StoreReuseDoesNotChangeBytes) {
   const SampledEstimate bare =
       run_sampled_mix(config, mix, tiny_run(), nullptr, nullptr);
 
+  // One boundary per entered medoid: a medoid adjacent to the one before
+  // it continues from the live system and never asks the store.
+  const std::size_t entered = entered_boundaries(plan_mix(config, mix, tiny_run(), nullptr));
   MapStore store;
   const SampledEstimate first =
       run_sampled_mix(config, mix, tiny_run(), nullptr, &store);
   expect_estimates_identical(bare, first);
-  EXPECT_EQ(store.misses(), 3u);  // one boundary per medoid
+  EXPECT_EQ(store.misses(), entered);
   EXPECT_EQ(store.hits(), 0u);
 
   // A second trial of the same mix hits every banked boundary and still
@@ -300,8 +318,8 @@ TEST(SampledRun, StoreReuseDoesNotChangeBytes) {
   const SampledEstimate second =
       run_sampled_mix(config, mix, tiny_run(), nullptr, &store);
   expect_estimates_identical(bare, second);
-  EXPECT_EQ(store.misses(), 3u);
-  EXPECT_EQ(store.hits(), 3u);
+  EXPECT_EQ(store.misses(), entered);
+  EXPECT_EQ(store.hits(), entered);
 }
 
 TEST(SampledRun, PooledSystemReuseDoesNotChangeBytes) {
@@ -453,6 +471,131 @@ TEST(SampledRun, MedoidIntervalsReproduceReferenceIntervalsExactly) {
   }
   ASSERT_GT(weighted_accesses, 0.0);
   EXPECT_DOUBLE_EQ(estimate.miss_ratio, weighted_misses / weighted_accesses);
+}
+
+/// SnapshotStore over harness::SnapshotCache (the production adapter's
+/// shape), counting every query.
+class CountingCacheStore final : public SnapshotStore {
+ public:
+  explicit CountingCacheStore(harness::SnapshotCache& cache) : cache_(&cache) {}
+  SnapshotPtr get_or_warm(std::uint64_t key, const WarmFn& warm) override {
+    ++queries_;
+    return cache_->get_or_warm(key, warm);
+  }
+  std::size_t queries() const { return queries_; }
+
+ private:
+  harness::SnapshotCache* cache_;
+  std::size_t queries_ = 0;
+};
+
+TEST(SampledRun, AdjacentMedoidsContinueFromLiveState) {
+  // k == num_intervals: every interval is a medoid, so every slot after the
+  // first is adjacent and continues from the live system.
+  const auto config = tiny_config();
+  const auto mix = eight_core_mix();
+  SampledRunConfig run = tiny_run();
+  run.k = run.num_intervals;
+  const SamplingPlan plan = plan_mix(config, mix, run, nullptr);
+  ASSERT_EQ(plan.k, run.num_intervals);
+  ASSERT_EQ(entered_boundaries(plan), 1u);
+
+  const SampledEstimate bare = run_sampled_mix(config, mix, run, nullptr, nullptr);
+
+  MapStore counted;
+  expect_estimates_identical(bare, run_sampled_mix(config, mix, run, nullptr, &counted));
+  EXPECT_EQ(counted.hits() + counted.misses(), 1u);
+
+  const std::string bank = testing::TempDir() + "/bacp-adjacent-medoids";
+  std::filesystem::remove_all(bank);
+  std::filesystem::create_directories(bank);
+  {
+    harness::SnapshotCache cold;
+    cold.set_file_bank(bank);
+    CountingCacheStore store(cold);
+    expect_estimates_identical(bare, run_sampled_mix(config, mix, run, nullptr, &store));
+    EXPECT_EQ(store.queries(), 1u);
+    EXPECT_EQ(cold.file_hits(), 0u);
+  }
+  {
+    harness::SnapshotCache warm;
+    warm.set_file_bank(bank);
+    CountingCacheStore store(warm);
+    expect_estimates_identical(bare, run_sampled_mix(config, mix, run, nullptr, &store));
+    EXPECT_EQ(store.queries(), 1u);
+    EXPECT_EQ(warm.file_hits(), 1u);
+  }
+  std::filesystem::remove_all(bank);
+
+  // What each skipped slot measures: the estimate must be exactly the one
+  // a twin that saves and restores at every boundary (the
+  // restore-everywhere engine this path replaces) measures, interval by
+  // interval — so no statistics leak across a skipped boundary.
+  {
+    sim::System twin(config, mix);
+    twin.warm_up(run.warmup_instructions);
+    double misses = 0.0;
+    double accesses = 0.0;
+    std::vector<double> cpis;
+    for (std::uint32_t interval = 0; interval < run.num_intervals; ++interval) {
+      twin.reset_measurement();
+      twin.restore_state(twin.save_state());
+      twin.reset_measurement();
+      twin.run(run.interval_instructions);
+      const sim::SystemResults results = twin.results();
+      misses += 1.0 * static_cast<double>(results.l2_misses());
+      accesses += 1.0 * static_cast<double>(results.l2_accesses());
+      cpis.push_back(results.mean_cpi());
+    }
+    ASSERT_TRUE(std::all_of(plan.weights.begin(), plan.weights.end(),
+                            [](std::uint64_t weight) { return weight == 1; }));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bare.miss_ratio),
+              std::bit_cast<std::uint64_t>(misses / accesses));
+    const std::vector<double> ones(cpis.size(), 1.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bare.cpi),
+              std::bit_cast<std::uint64_t>(common::weighted_mean_ci(cpis, ones).mean));
+  }
+
+  // The state each skipped slot leaves: the engine, run over the first
+  // `intervals` medoids on a pooled System, must leave exactly the bytes
+  // of the restore-everywhere twin.
+  harness::SystemPool pool;
+  for (std::uint32_t intervals = 2; intervals <= run.num_intervals; ++intervals) {
+    SCOPED_TRACE(intervals);
+    SampledRunConfig prefix = run;
+    prefix.num_intervals = intervals;
+    prefix.k = intervals;
+    auto live = pool.acquire(config, mix);
+    (void)run_sampled_mix(config, mix, prefix, nullptr, nullptr, live.get());
+    live->reset_measurement();
+
+    sim::System twin(config, mix);
+    twin.warm_up(run.warmup_instructions);
+    for (std::uint32_t interval = 0; interval < intervals; ++interval) {
+      twin.reset_measurement();
+      twin.restore_state(twin.save_state());
+      twin.reset_measurement();
+      twin.run(run.interval_instructions);
+    }
+    twin.reset_measurement();
+    EXPECT_TRUE(live->save_state() == twin.save_state());
+  }
+}
+
+TEST(SampledRun, NonAdjacentMedoidsEnterEverySlotThroughTheStore) {
+  const auto config = tiny_config();
+  const auto mix = eight_core_mix();
+  SampledRunConfig run = tiny_run();
+  run.num_intervals = 16;
+  run.k = 3;
+  const SamplingPlan plan = plan_mix(config, mix, run, nullptr);
+  ASSERT_EQ(entered_boundaries(plan), plan.k) << "plan has adjacent medoids";
+
+  const SampledEstimate bare = run_sampled_mix(config, mix, run, nullptr, nullptr);
+  MapStore store;
+  expect_estimates_identical(bare, run_sampled_mix(config, mix, run, nullptr, &store));
+  EXPECT_EQ(store.misses(), plan.k);
+  EXPECT_EQ(store.hits(), 0u);
 }
 
 }  // namespace

@@ -93,6 +93,112 @@ TEST(Codec, BuilderProducesAuditCleanFraming) {
 }
 
 // ---------------------------------------------------------------------------
+// Section checksum (format v5: four word lanes, then an ordered tail fold)
+// ---------------------------------------------------------------------------
+
+/// Bytes whose every 8-byte word is distinct, so a word swap is an edit.
+std::vector<std::uint8_t> patterned(std::size_t length) {
+  std::vector<std::uint8_t> bytes(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + (i >> 3) * 11 + 5);
+  }
+  return bytes;
+}
+
+TEST(SnapshotChecksum, FlipInEveryLaneChangesTheChecksum) {
+  // Four 32-byte blocks: word w lands in lane w % 4.
+  const std::vector<std::uint8_t> clean = patterned(128);
+  const std::uint64_t reference = snapshot::checksum(clean);
+  for (std::size_t word = 0; word < clean.size() / 8; ++word) {
+    for (const unsigned bit : {0u, 31u, 63u}) {
+      auto flipped = clean;
+      flipped[word * 8 + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      EXPECT_NE(snapshot::checksum(flipped), reference)
+          << "lane " << word % 4 << " word " << word << " bit " << bit;
+    }
+  }
+}
+
+TEST(SnapshotChecksum, FlipInTheTailChangesTheChecksum) {
+  // Lengths 0-40 past two whole blocks: the leftover words and bytes fold
+  // after the lanes.
+  for (std::size_t tail = 0; tail <= 40; ++tail) {
+    const std::vector<std::uint8_t> clean = patterned(64 + tail);
+    const std::uint64_t reference = snapshot::checksum(clean);
+    for (std::size_t at = 64; at < clean.size(); ++at) {
+      for (const unsigned bit : {0u, 7u}) {
+        auto flipped = clean;
+        flipped[at] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_NE(snapshot::checksum(flipped), reference) << "tail " << tail << " byte " << at;
+      }
+    }
+    auto longer = clean;
+    longer.push_back(0);
+    EXPECT_NE(snapshot::checksum(longer), reference) << "tail " << tail << " + a zero byte";
+  }
+  EXPECT_NE(snapshot::checksum(patterned(0)), snapshot::checksum(std::vector<std::uint8_t>(1)));
+}
+
+TEST(SnapshotChecksum, SwapOfAdjacentWordsChangesTheChecksum) {
+  // One whole block (each swap exchanges two lanes' only inputs), one
+  // block plus a leftover word, and five blocks plus one: swaps cross
+  // every lane boundary and the block-to-tail boundary.
+  for (const std::size_t words : {4u, 5u, 21u}) {
+    const std::vector<std::uint8_t> clean = patterned(words * 8);
+    const std::uint64_t reference = snapshot::checksum(clean);
+    for (std::size_t word = 0; word + 1 < words; ++word) {
+      auto swapped = clean;
+      std::swap_ranges(swapped.begin() + static_cast<std::ptrdiff_t>(word * 8),
+                       swapped.begin() + static_cast<std::ptrdiff_t>(word * 8 + 8),
+                       swapped.begin() + static_cast<std::ptrdiff_t>(word * 8 + 8));
+      EXPECT_NE(snapshot::checksum(swapped), reference)
+          << words << " words, swap " << word << "," << word + 1;
+    }
+  }
+}
+
+TEST(SnapshotChecksum, AuditNamesTheCorruptedSection) {
+  snapshot::SnapshotBuilder builder(/*config_digest=*/9);
+  for (const auto id : {snapshot::SectionId::Noc, snapshot::SectionId::Dram,
+                        snapshot::SectionId::L2}) {
+    auto writer = builder.begin_section(id);
+    for (std::uint64_t i = 0; i < 40; ++i) writer.u64(i * 0x9E3779B97F4A7C15ull);
+  }
+  const auto built = builder.finish();
+  for (const auto& entry : built.sections()) {
+    std::vector<std::uint8_t> bytes(built.data().begin(), built.data().end());
+    bytes[entry.offset + entry.length / 2] ^= 0x10;
+    const auto report = audit::audit_snapshot(bytes);
+    ASSERT_EQ(report.violations.size(), 1u) << report.to_string();
+    EXPECT_EQ(report.violations[0].field, "checksum");
+    EXPECT_NE(report.violations[0].object.find(snapshot::to_string(entry.id)),
+              std::string::npos)
+        << report.violations[0].object;
+    EXPECT_FALSE(snapshot::SystemSnapshot::from_bytes(bytes).has_value());
+  }
+}
+
+// A snapshot is validated once, when it is built or loaded, and restores
+// trust that validation — so a snapshot that never went through it must
+// not restore at all.
+TEST(SystemSnapshotDeathTest, RestoreRefusesUnvalidatedSnapshot) {
+  const auto config = fast_config(sim::PolicyKind::BankAware);
+  const auto mix = capacity_diverse_mix();
+  sim::System system(config, mix);
+  const snapshot::SystemSnapshot never_built;
+  EXPECT_FALSE(never_built.validated());
+  EXPECT_DEATH(system.restore_state(never_built), "never validated");
+
+  // A moved-from snapshot gives up its table with its bytes.
+  auto saved = system.save_state();
+  const snapshot::SystemSnapshot taken = std::move(saved);
+  EXPECT_TRUE(taken.validated());
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is the subject
+  EXPECT_FALSE(saved.validated());
+  EXPECT_DEATH(system.restore_state(saved), "never validated");
+}
+
+// ---------------------------------------------------------------------------
 // System round trip
 // ---------------------------------------------------------------------------
 
@@ -101,7 +207,7 @@ TEST(SystemSnapshot, SaveIsDeterministic) {
   system.warm_up(400'000);
   const auto first = system.save_state();
   const auto second = system.save_state();
-  EXPECT_EQ(first.bytes, second.bytes);
+  EXPECT_TRUE(first == second);
   EXPECT_GT(first.size_bytes(), 0u);
 }
 
@@ -133,7 +239,7 @@ TEST(SystemSnapshot, RestoreResumesBitIdentically) {
   sim::System twin_a(config, mix);
   twin_a.restore_state(snapshot);
   const auto resaved = twin_a.save_state();
-  EXPECT_EQ(resaved.bytes, snapshot.bytes);
+  EXPECT_TRUE(resaved == snapshot);
 }
 
 TEST(SystemSnapshot, RestoreRejectsMismatchedConfig) {
@@ -286,23 +392,26 @@ TEST(GeneratorSnapshot, StaleDeadSlotsDoNotLeakThroughRestore) {
   stale.restore_state(snapshot);
   sim::System fresh(config, mix);
   fresh.restore_state(snapshot);
-  EXPECT_EQ(stale.save_state().bytes, snapshot.bytes);
-  EXPECT_EQ(fresh.save_state().bytes, snapshot.bytes);
+  EXPECT_TRUE(stale.save_state() == snapshot);
+  EXPECT_TRUE(fresh.save_state() == snapshot);
 
   stale.run(500'000);
   fresh.run(500'000);
   EXPECT_EQ(stale.results().to_json().dump(), fresh.results().to_json().dump());
   stale.reset_measurement();
   fresh.reset_measurement();
-  EXPECT_EQ(stale.save_state().bytes, fresh.save_state().bytes);
+  EXPECT_TRUE(stale.save_state() == fresh.save_state());
 }
 
-/// Rewrites one section of `snapshot` in place and re-seals its table
-/// checksum, so only restore_state's own shape checks stand between the
-/// edit and the restored state.
-void edit_section(snapshot::SystemSnapshot& snapshot, snapshot::SectionId id,
-                  const std::function<void(std::span<std::uint8_t>)>& edit) {
-  std::uint8_t* base = snapshot.bytes.data();
+/// A copy of `snapshot` with one section rewritten and its table checksum
+/// re-sealed, validated through SystemSnapshot::from_bytes — so only
+/// restore_state's own shape checks stand between the edit and the
+/// restored state.
+snapshot::SystemSnapshot edit_section(const snapshot::SystemSnapshot& snapshot,
+                                      snapshot::SectionId id,
+                                      const std::function<void(std::span<std::uint8_t>)>& edit) {
+  std::vector<std::uint8_t> bytes(snapshot.data().begin(), snapshot.data().end());
+  std::uint8_t* base = bytes.data();
   std::uint32_t count = 0;
   std::memcpy(&count, base + 12, sizeof(count));
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -316,11 +425,14 @@ void edit_section(snapshot::SystemSnapshot& snapshot, snapshot::SectionId id,
     std::memcpy(&length, entry + 16, sizeof(length));
     const std::span<std::uint8_t> payload(base + offset, length);
     edit(payload);
-    const std::uint64_t checksum = snapshot::fnv1a(payload);
+    const std::uint64_t checksum = snapshot::checksum(payload);
     std::memcpy(entry + 24, &checksum, sizeof(checksum));
-    return;
+    auto edited = snapshot::SystemSnapshot::from_bytes(std::move(bytes));
+    EXPECT_TRUE(edited.has_value()) << "re-sealed edit failed validation";
+    return edited ? std::move(*edited) : snapshot::SystemSnapshot{};
   }
-  FAIL() << "no section " << snapshot::to_string(id);
+  ADD_FAILURE() << "no section " << snapshot::to_string(id);
+  return {};
 }
 
 TEST(GeneratorSnapshotDeathTest, RestoreRejectsImpossibleRingShapes) {
@@ -330,24 +442,24 @@ TEST(GeneratorSnapshotDeathTest, RestoreRejectsImpossibleRingShapes) {
   original.warm_up(100'000);
   const auto snapshot = original.save_state();
 
-  auto oversized = snapshot;
-  edit_section(oversized, snapshot::SectionId::Generators, [&](std::span<std::uint8_t> core0) {
-    const RingShape shape = ring_shape(core0);
-    const std::uint32_t size = config.geometry.total_ways() + 1;
-    std::memcpy(core0.data() + shape.sizes_offset, &size, sizeof(size));
-  });
+  const auto oversized = edit_section(
+      snapshot, snapshot::SectionId::Generators, [&](std::span<std::uint8_t> core0) {
+        const RingShape shape = ring_shape(core0);
+        const std::uint32_t size = config.geometry.total_ways() + 1;
+        std::memcpy(core0.data() + shape.sizes_offset, &size, sizeof(size));
+      });
   sim::System target(config, mix);
   EXPECT_TRUE(audit::audit_snapshot(oversized).ok());
   EXPECT_DEATH(target.restore_state(oversized), "exceeds max_depth");
 
-  auto miscounted = snapshot;
-  edit_section(miscounted, snapshot::SectionId::Generators, [](std::span<std::uint8_t> core0) {
-    const RingShape shape = ring_shape(core0);
-    std::uint64_t live = 0;
-    std::memcpy(&live, core0.data() + shape.live_offset, sizeof(live));
-    ++live;
-    std::memcpy(core0.data() + shape.live_offset, &live, sizeof(live));
-  });
+  const auto miscounted = edit_section(
+      snapshot, snapshot::SectionId::Generators, [](std::span<std::uint8_t> core0) {
+        const RingShape shape = ring_shape(core0);
+        std::uint64_t live = 0;
+        std::memcpy(&live, core0.data() + shape.live_offset, sizeof(live));
+        ++live;
+        std::memcpy(core0.data() + shape.live_offset, &live, sizeof(live));
+      });
   EXPECT_TRUE(audit::audit_snapshot(miscounted).ok());
   EXPECT_DEATH(target.restore_state(miscounted), "live ring entry count");
 }
@@ -498,7 +610,7 @@ TEST(CacheSnapshot, PooledDeadWaysWithForeignTagsDoNotLeakThroughRestore) {
     const auto l1_report = audit::audit_cache(pooled->l1(core));
     EXPECT_TRUE(l1_report.ok()) << l1_report.to_string();
   }
-  EXPECT_EQ(pooled->save_state().bytes, snapshot.bytes);
+  EXPECT_TRUE(pooled->save_state() == snapshot);
 
   sim::System fresh(config, mix);
   fresh.restore_state(snapshot);
@@ -507,7 +619,7 @@ TEST(CacheSnapshot, PooledDeadWaysWithForeignTagsDoNotLeakThroughRestore) {
   EXPECT_EQ(pooled->results().to_json().dump(), fresh.results().to_json().dump());
   pooled->reset_measurement();
   fresh.reset_measurement();
-  EXPECT_EQ(pooled->save_state().bytes, fresh.save_state().bytes);
+  EXPECT_TRUE(pooled->save_state() == fresh.save_state());
 }
 
 TEST(CacheSnapshotDeathTest, RestoreRejectsImpossibleLineShapes) {
@@ -519,40 +631,51 @@ TEST(CacheSnapshotDeathTest, RestoreRejectsImpossibleLineShapes) {
   constexpr std::size_t kBank0 = 2 * sizeof(std::uint32_t);
   sim::System target(config, mix);
 
-  auto miscounted = snapshot;
-  edit_section(miscounted, snapshot::SectionId::L2, [](std::span<std::uint8_t> l2) {
-    const CacheImage bank0 = cache_image(l2, kBank0);
-    std::uint64_t live = 0;
-    std::memcpy(&live, l2.data() + bank0.live_offset, sizeof(live));
-    ++live;
-    std::memcpy(l2.data() + bank0.live_offset, &live, sizeof(live));
-  });
+  const auto miscounted = edit_section(
+      snapshot, snapshot::SectionId::L2, [](std::span<std::uint8_t> l2) {
+        const CacheImage bank0 = cache_image(l2, kBank0);
+        std::uint64_t live = 0;
+        std::memcpy(&live, l2.data() + bank0.live_offset, sizeof(live));
+        ++live;
+        std::memcpy(l2.data() + bank0.live_offset, &live, sizeof(live));
+      });
   EXPECT_TRUE(audit::audit_snapshot(miscounted).ok());
   EXPECT_DEATH(target.restore_state(miscounted), "live line count");
 
-  auto dirty_dead = snapshot;
-  edit_section(dirty_dead, snapshot::SectionId::L2, [](std::span<std::uint8_t> l2) {
-    const CacheImage bank0 = cache_image(l2, kBank0);
-    ASSERT_EQ(bank0.mask_bytes, 1u);
-    const std::uint8_t all_ways = static_cast<std::uint8_t>((1u << bank0.ways) - 1);
-    for (std::size_t at = bank0.sets_offset; at < bank0.lines_offset; at += bank0.record_bytes) {
-      const std::uint8_t dead = static_cast<std::uint8_t>(~l2[at] & all_ways);
-      if (dead == 0) continue;
-      l2[at + 1] = static_cast<std::uint8_t>(l2[at + 1] | (dead & -dead));
-      return;
-    }
-    FAIL() << "bank 0 has no set with a dead way";
-  });
+  const auto dirty_dead = edit_section(
+      snapshot, snapshot::SectionId::L2, [](std::span<std::uint8_t> l2) {
+        const CacheImage bank0 = cache_image(l2, kBank0);
+        ASSERT_EQ(bank0.mask_bytes, 1u);
+        const std::uint8_t all_ways = static_cast<std::uint8_t>((1u << bank0.ways) - 1);
+        for (std::size_t at = bank0.sets_offset; at < bank0.lines_offset;
+             at += bank0.record_bytes) {
+          const std::uint8_t dead = static_cast<std::uint8_t>(~l2[at] & all_ways);
+          if (dead == 0) continue;
+          l2[at + 1] = static_cast<std::uint8_t>(l2[at + 1] | (dead & -dead));
+          return;
+        }
+        FAIL() << "bank 0 has no set with a dead way";
+      });
   EXPECT_TRUE(audit::audit_snapshot(dirty_dead).ok());
   EXPECT_DEATH(target.restore_state(dirty_dead), "dirty bit on an invalid way");
 
+  const auto repeated_way = edit_section(
+      snapshot, snapshot::SectionId::L2, [](std::span<std::uint8_t> l2) {
+        const CacheImage bank0 = cache_image(l2, kBank0);
+        std::uint8_t* order = l2.data() + bank0.sets_offset + 2 * bank0.mask_bytes;
+        order[1] = order[0];
+      });
+  EXPECT_TRUE(audit::audit_snapshot(repeated_way).ok());
+  EXPECT_DEATH(target.restore_state(repeated_way), "not a permutation of the ways");
+
   // L1s are 2-way, so their one-byte masks can name a way past the last.
-  auto phantom_way = snapshot;
-  edit_section(phantom_way, snapshot::SectionId::L1, [](std::span<std::uint8_t> l1) {
-    const CacheImage core0 = cache_image(l1, 0);
-    ASSERT_LT(core0.ways, 8u);
-    l1[core0.sets_offset] = static_cast<std::uint8_t>(l1[core0.sets_offset] | (1u << core0.ways));
-  });
+  const auto phantom_way = edit_section(
+      snapshot, snapshot::SectionId::L1, [](std::span<std::uint8_t> l1) {
+        const CacheImage core0 = cache_image(l1, 0);
+        ASSERT_LT(core0.ways, 8u);
+        l1[core0.sets_offset] =
+            static_cast<std::uint8_t>(l1[core0.sets_offset] | (1u << core0.ways));
+      });
   EXPECT_TRUE(audit::audit_snapshot(phantom_way).ok());
   EXPECT_DEATH(target.restore_state(phantom_way), "valid bit beyond the way count");
 }
@@ -566,23 +689,23 @@ TEST(NucaSnapshotDeathTest, RestoreRejectsImpossibleViews) {
   const std::uint32_t num_banks = config.geometry.num_banks;
   sim::System target(config, mix);
 
-  auto out_of_range = snapshot;
-  edit_section(out_of_range, snapshot::SectionId::L2, [&](std::span<std::uint8_t> l2) {
-    const std::size_t view = l2_views_offset(l2, num_banks);
-    std::memcpy(l2.data() + view + sizeof(std::uint64_t), &num_banks, sizeof(BankId));
-  });
+  const auto out_of_range = edit_section(
+      snapshot, snapshot::SectionId::L2, [&](std::span<std::uint8_t> l2) {
+        const std::size_t view = l2_views_offset(l2, num_banks);
+        std::memcpy(l2.data() + view + sizeof(std::uint64_t), &num_banks, sizeof(BankId));
+      });
   EXPECT_TRUE(audit::audit_snapshot(out_of_range).ok());
   EXPECT_DEATH(target.restore_state(out_of_range), "view names a bank out of range");
 
-  auto repeated = snapshot;
-  edit_section(repeated, snapshot::SectionId::L2, [&](std::span<std::uint8_t> l2) {
-    const std::size_t view = l2_views_offset(l2, num_banks);
-    std::uint64_t length = 0;
-    std::memcpy(&length, l2.data() + view, sizeof(length));
-    ASSERT_GE(length, 2u);
-    std::uint8_t* first = l2.data() + view + sizeof(std::uint64_t);
-    std::memcpy(first + sizeof(BankId), first, sizeof(BankId));
-  });
+  const auto repeated = edit_section(
+      snapshot, snapshot::SectionId::L2, [&](std::span<std::uint8_t> l2) {
+        const std::size_t view = l2_views_offset(l2, num_banks);
+        std::uint64_t length = 0;
+        std::memcpy(&length, l2.data() + view, sizeof(length));
+        ASSERT_GE(length, 2u);
+        std::uint8_t* first = l2.data() + view + sizeof(std::uint64_t);
+        std::memcpy(first + sizeof(BankId), first, sizeof(BankId));
+      });
   EXPECT_TRUE(audit::audit_snapshot(repeated).ok());
   EXPECT_DEATH(target.restore_state(repeated), "view names a bank twice");
 }
@@ -724,11 +847,6 @@ TEST(SnapshotCache, SweepResultsIndependentOfReuseAndThreads) {
 // mmap zero-copy bank reads
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> contents(const snapshot::SystemSnapshot& snapshot) {
-  const auto span = snapshot.data();
-  return {span.begin(), span.end()};
-}
-
 // A bank entry is loaded zero-copy: the snapshot is backed by the mapped
 // file, carries the saved bytes, and a System restored from the mapped pages
 // resumes on the exact trajectory the saved System was on.
@@ -752,16 +870,15 @@ TEST(SnapshotCache, MmapBankReadRestoresSavedTrajectory) {
   mapped_cache.set_file_bank(dir);
   const auto mapped = mapped_cache.get_or_warm(0xD15C, [&] { return saved; });
   ASSERT_EQ(mapped_cache.file_hits(), 1u);
-  EXPECT_NE(mapped->backing, nullptr);
-  EXPECT_TRUE(mapped->bytes.empty());
-  EXPECT_EQ(contents(*mapped), saved.bytes);
+  EXPECT_TRUE(mapped->mapped());
+  EXPECT_TRUE(*mapped == saved);
 
   // Restoring straight off the mapped pages lands on the saved trajectory:
   // a re-save of the restored twin reproduces the banked bytes exactly.
   sim::System restored(config, mix);
   restored.restore_state(*mapped);
   EXPECT_TRUE(audit::audit_system(restored).ok());
-  EXPECT_EQ(restored.save_state().bytes, saved.bytes);
+  EXPECT_TRUE(restored.save_state() == saved);
 
   std::filesystem::remove_all(dir);
 }
@@ -843,9 +960,8 @@ TEST(SnapshotCache, StaleVersionBankEntryRewarmsAndRepublishes) {
     out.write(reinterpret_cast<const char*>(stale_bytes.data()),
               static_cast<std::streamsize>(stale_bytes.size()));
   }
-  snapshot::SystemSnapshot stale_snapshot;
-  stale_snapshot.bytes = stale_bytes;
-  EXPECT_FALSE(audit::audit_snapshot(stale_snapshot).ok());
+  EXPECT_FALSE(audit::audit_snapshot(stale_bytes).ok());
+  EXPECT_FALSE(snapshot::SystemSnapshot::from_bytes(stale_bytes).has_value());
 
   harness::SnapshotCache stale_cache;
   stale_cache.set_file_bank(stale_dir);
